@@ -31,11 +31,8 @@ from .gridverify import (
     verify_dialled,
 )
 from .oscillator import (
-    HermitePoly,
     analytic_node_count,
     eigenfunction_samples,
-    eigenfunction_value,
-    hermite,
     oscillator_energy,
 )
 from .spectrum import (
@@ -71,11 +68,8 @@ __all__ = [
     "diagonalize",
     "matrix_polynomial",
     "verify_dialled",
-    "HermitePoly",
     "analytic_node_count",
     "eigenfunction_samples",
-    "eigenfunction_value",
-    "hermite",
     "oscillator_energy",
     "LevelRecord",
     "OrderingReport",

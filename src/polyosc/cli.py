@@ -5,8 +5,8 @@ or finite-decimal strings (or JSON integers) and parse back to the same rational
 Binary floats are refused at the boundary.  Output is deterministic byte for byte
 for identical invocations.
 
-Exit codes: 0 success, 2 malformed input, 3 singular stripped system,
-4 verification failure, 5 eigensolver non-convergence, 6 unwritable output path.
+Exit codes: 0 success, 2 malformed or out-of-range input, 3 singular stripped
+system, 4 verification failure, 5 eigensolver non-convergence, 6 unwritable output path.
 """
 
 import argparse
@@ -22,14 +22,12 @@ from .exactalg import (
     build_energy_matrix,
     determinant,
     determinant_closed_form,
-    dial,
     dial_partial,
 )
-from .gridverify import EigensolverError, GridSpec, VerificationReport, verify_dialled
+from .gridverify import EigensolverError, GridSpec, verify_dialled
 from .oscillator import eigenfunction_samples, oscillator_energy
 from .spectrum import (
     LevelRecord,
-    OrderingReport,
     classical_cross_section,
     evaluate_spectrum,
     ordering_report,
@@ -117,33 +115,39 @@ def _parse_drop_powers(text: str) -> list[int]:
 
 
 # ------------------------------------------------------------- output helpers
+#
+# Each command builds one JSON-ready body.  `--format json` prints it as is; the
+# CSV is derived from the same body, so the two formats always agree.
 
-def _dec(value: Fraction) -> str:
-    return repr(float(value))
-
-
-def _spectrum_rows(records: tuple[LevelRecord, ...]) -> list[str]:
-    rows = ["n,h_n,E_n,E_n_decimal,node_count"]
-    for rec in records:
-        h = oscillator_energy(rec.level)
-        rows.append(f"{rec.level},{h},{rec.energy},{_dec(rec.energy)},{rec.node_count}")
-    return rows
+def _cell(value) -> str:
+    """One body scalar as CSV text: strings bare, the rest as JSON writes it."""
+    return value if isinstance(value, str) else json.dumps(value)
 
 
-def _ordering_lines(report: OrderingReport) -> list[str]:
-    perm = ",".join(str(n) for n in report.ascending_permutation)
-    if report.violations:
-        violations = ";".join(f"({a},{b})" for a, b in report.violations)
-    else:
-        violations = "none"
-    return [
-        f"# ascending_permutation = {perm}",
-        f"# violations = {violations}",
-        f"# sturm_liouville_ordered = {str(report.is_sturm_liouville_ordered).lower()}",
-    ]
+def _table(header: str, rows) -> list[str]:
+    return [header] + [",".join(map(_cell, row)) for row in rows]
 
 
-def _spectrum_json(records, report) -> dict:
+def _trailer(items) -> list[str]:
+    """'# name = value' lines: lists join with ',', pairs as '(a,b);(c,d)', None or [] as 'none'."""
+    def text(value) -> str:
+        if value is None or value == []:
+            return "none"
+        if isinstance(value, list) and isinstance(value[0], list):
+            return ";".join(f"({text(pair)})" for pair in value)
+        return ",".join(map(_cell, value)) if isinstance(value, list) else _cell(value)
+
+    return [f"# {name} = {text(value)}" for name, value in items]
+
+
+def _render(fmt: str, body: dict, to_csv) -> str:
+    """The body as indented JSON, or as the CSV lines `to_csv` derives from it."""
+    text = json.dumps(body, indent=2) if fmt == "json" else "\n".join(to_csv(body))
+    return text + "\n"
+
+
+def _spectrum_body(records: tuple[LevelRecord, ...]) -> dict:
+    report = ordering_report(records)
     return {
         "spectrum": [
             {
@@ -163,10 +167,10 @@ def _spectrum_json(records, report) -> dict:
     }
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+def _spectrum_csv(body: dict) -> list[str]:
+    names = ("ascending_permutation", "violations", "sturm_liouville_ordered")
+    return (_table("n,h_n,E_n,E_n_decimal,node_count", (r.values() for r in body["spectrum"]))
+            + _trailer(zip(names, body["ordering"].values())))
 
 
 # ------------------------------------------------------------------- commands
@@ -179,6 +183,11 @@ def _default_levels(requested: int | None, n_dialled: int) -> int:
     return requested
 
 
+def _dial_csv(body: dict) -> list[str]:
+    rows = (term.values() for term in body["coefficients"])
+    return _table("power,a_j,a_j_decimal", rows) + [""] + _spectrum_csv(body)
+
+
 def cmd_dial(args: argparse.Namespace) -> int:
     if args.request is not None:
         try:
@@ -186,78 +195,52 @@ def cmd_dial(args: argparse.Namespace) -> int:
         except OSError as err:
             raise ValueError(f"cannot read request file: {err}") from None
         target, drop = _parse_request_payload(json.loads(raw))
-        if args.drop_powers is not None:
-            drop = _parse_drop_powers(args.drop_powers)
     else:
-        target = _parse_targets_inline(args.targets)
-        drop = _parse_drop_powers(args.drop_powers) if args.drop_powers is not None else None
+        target, drop = _parse_targets_inline(args.targets), None
+    if args.drop_powers is not None:
+        drop = _parse_drop_powers(args.drop_powers)
 
-    contiguous = target.levels == tuple(range(len(target.pairs)))
-    if drop is None and contiguous:
-        ham = dial(target)
-    else:
-        ham = dial_partial(target, drop)
-
+    ham = dial_partial(target, drop)
     count = _default_levels(args.levels, len(target.pairs))
-    records = evaluate_spectrum(ham, count)
-    report = ordering_report(records)
-
-    if args.format == "json":
-        body = {
-            "coefficients": [
-                {"power": p, "value": str(a), "decimal": float(a)} for p, a in ham.terms
-            ],
-            **_spectrum_json(records, report),
-        }
-        _emit(json.dumps(body, indent=2))
-    else:
-        lines = ["power,a_j,a_j_decimal"]
-        lines += [f"{p},{a},{_dec(a)}" for p, a in ham.terms]
-        lines.append("")
-        lines += _spectrum_rows(records)
-        lines += _ordering_lines(report)
-        _emit("\n".join(lines))
+    body = {
+        "coefficients": [
+            {"power": p, "value": str(a), "decimal": float(a)} for p, a in ham.terms
+        ],
+        **_spectrum_body(evaluate_spectrum(ham, count)),
+    }
+    sys.stdout.write(_render(args.format, body, _dial_csv))
     return EXIT_OK
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     ham = _parse_coeffs(args.coeffs)
     count = _default_levels(args.levels, len(ham.terms))
-    records = evaluate_spectrum(ham, count)
-    report = ordering_report(records)
-    if args.format == "json":
-        _emit(json.dumps(_spectrum_json(records, report), indent=2))
-    else:
-        _emit("\n".join(_spectrum_rows(records) + _ordering_lines(report)))
+    body = _spectrum_body(evaluate_spectrum(ham, count))
+    sys.stdout.write(_render(args.format, body, _spectrum_csv))
     return EXIT_OK
 
 
-def _verify_lines(report: VerificationReport) -> list[str]:
-    lines = [
-        "k,grid_eigenvalue,node_count,matched_level,analytic_E_n,analytic_decimal,"
-        "abs_error,rel_error,within_tolerance"
-    ]
-    for c in report.checks:
-        rel = f"{c.rel_error:.3e}" if c.rel_error is not None else ""
-        lines.append(
-            f"{c.position},{c.grid_eigenvalue!r},{c.node_count},{c.matched_level},"
-            f"{c.analytic_energy},{_dec(c.analytic_energy)},{c.abs_error:.3e},{rel},"
-            f"{str(c.within_tolerance).lower()}"
-        )
-    lines += [
-        f"# expected_sequence = {','.join(str(n) for n in report.expected_sequence)}",
-        f"# node_sequence = {','.join(str(n) for n in report.node_sequence)}",
-        f"# sequence_matches = {str(report.sequence_matches).lower()}",
-        f"# degenerate = {str(report.degenerate).lower()}",
-        f"# tolerance = {report.tolerance!r}",
-        f"# warning = {report.warning if report.warning else 'none'}",
-        f"# passed = {str(report.passed).lower()}",
-    ]
-    return lines
+def _verify_csv(body: dict) -> list[str]:
+    def sci(error: float | None) -> str:
+        return "" if error is None else f"{error:.3e}"
+
+    header = ("k,grid_eigenvalue,node_count,matched_level,analytic_E_n,analytic_decimal,"
+              "abs_error,rel_error,within_tolerance")
+    rows = (
+        {**level, "abs_error": sci(level["abs_error"]), "rel_error": sci(level["rel_error"])}
+        .values()
+        for level in body["levels"]
+    )
+    names = ("expected_sequence", "node_sequence", "sequence_matches", "degenerate",
+             "tolerance", "warning", "passed")
+    return _table(header, rows) + _trailer((name, body[name]) for name in names)
 
 
-def _verify_json(report: VerificationReport) -> dict:
-    return {
+def cmd_verify(args: argparse.Namespace) -> int:
+    ham = _parse_coeffs(args.coeffs)
+    spec = GridSpec(half_width=args.half_width, points=args.grid_points)
+    report = verify_dialled(ham, spec, levels_to_check=args.levels)
+    body = {
         "grid": {"half_width": report.spec.half_width, "points": report.spec.points},
         "tolerance": report.tolerance,
         "levels": [
@@ -281,17 +264,7 @@ def _verify_json(report: VerificationReport) -> dict:
         "warning": report.warning,
         "passed": report.passed,
     }
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    ham = _parse_coeffs(args.coeffs)
-    spec = GridSpec(half_width=args.half_width, points=args.grid_points)
-    count = args.levels if args.levels is not None else 9
-    report = verify_dialled(ham, spec, levels_to_check=count)
-    if args.format == "json":
-        _emit(json.dumps(_verify_json(report), indent=2))
-    else:
-        _emit("\n".join(_verify_lines(report)))
+    sys.stdout.write(_render(args.format, body, _verify_csv))
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -386,70 +359,43 @@ def cmd_figure(args: argparse.Namespace) -> int:
     curves = [
         float(rec.energy) + scale * eigenfunction_samples(rec.level, xs) for rec in records
     ]
+    x_values = [float(x) for x in xs]
+    levels = {str(rec.level): [float(v) for v in curve] for rec, curve in zip(records, curves)}
+    # file stem -> (body, its CSV); the figure's spectrum CSV has no node_count column
+    files = {
+        "spectrum": (_spectrum_body(records), lambda body: _table(
+            "n,h_n,E_n,E_n_decimal", (list(row.values())[:4] for row in body["spectrum"]))),
+        "cross_section": ({"x": x_values, "energy": cross},
+                          lambda body: _table("x,energy", zip(body["x"], body["energy"]))),
+        "eigenfunctions": ({"display_scale": scale, "x": x_values, "levels": levels},
+                           lambda body: _trailer([("display_scale", body["display_scale"])])
+                           + _table("x," + ",".join(f"level_{n}" for n in body["levels"]),
+                                    zip(body["x"], *body["levels"].values()))),
+    }
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    spectrum_rows = ["n,h_n,E_n,E_n_decimal"] + [
-        f"{rec.level},{oscillator_energy(rec.level)},{rec.energy},{_dec(rec.energy)}"
-        for rec in records
-    ]
-    if args.format == "json":
-        report = ordering_report(records)
-        _write(out_dir / "spectrum.json", json.dumps(_spectrum_json(records, report), indent=2) + "\n")
-        _write(
-            out_dir / "cross_section.json",
-            json.dumps({"x": [float(x) for x in xs], "energy": cross}, indent=2) + "\n",
-        )
-        _write(
-            out_dir / "eigenfunctions.json",
-            json.dumps(
-                {
-                    "display_scale": scale,
-                    "x": [float(x) for x in xs],
-                    "levels": {str(rec.level): [float(v) for v in curve]
-                               for rec, curve in zip(records, curves)},
-                },
-                indent=2,
-            ) + "\n",
-        )
-    else:
-        _write(out_dir / "spectrum.csv", "\n".join(spectrum_rows) + "\n")
-        cross_rows = ["x,energy"] + [f"{float(x)!r},{v!r}" for x, v in zip(xs, cross)]
-        _write(out_dir / "cross_section.csv", "\n".join(cross_rows) + "\n")
-        eig_rows = [f"# display_scale = {scale!r}"]
-        eig_rows.append("x," + ",".join(f"level_{rec.level}" for rec in records))
-        for i, x in enumerate(xs):
-            eig_rows.append(f"{float(x)!r}," + ",".join(f"{float(c[i])!r}" for c in curves))
-        _write(out_dir / "eigenfunctions.csv", "\n".join(eig_rows) + "\n")
-    _write(out_dir / "figure.svg", _svg_figure(xs, cross, records, curves, scale, grid.half_width))
+    for stem, (body, to_csv) in files.items():
+        (out_dir / f"{stem}.{args.format}").write_text(_render(args.format, body, to_csv))
+    (out_dir / "figure.svg").write_text(
+        _svg_figure(xs, cross, records, curves, scale, grid.half_width))
     return EXIT_OK
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
 
 
 def cmd_det(args: argparse.Namespace) -> int:
     n = args.size
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
-    matrix = build_energy_matrix(range(n), range(1, n + 1))
-    eliminated = determinant(matrix)
+    eliminated = determinant(build_energy_matrix(range(n), range(1, n + 1)))
     closed = determinant_closed_form(n)
-    if args.format == "json":
-        body = {
-            "n": n,
-            "elimination": str(eliminated),
-            "closed_form": str(closed),
-            "agree": eliminated == closed,
-        }
-        _emit(json.dumps(body, indent=2))
-    else:
-        _emit(
-            "N,elimination,closed_form,agree\n"
-            f"{n},{eliminated},{closed},{str(eliminated == closed).lower()}"
-        )
+    body = {
+        "n": n,
+        "elimination": str(eliminated),
+        "closed_form": str(closed),
+        "agree": eliminated == closed,
+    }
+    header = "N,elimination,closed_form,agree"
+    sys.stdout.write(_render(args.format, body, lambda body: _table(header, [body.values()])))
     return EXIT_OK
 
 
@@ -484,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="grid cross-check of spectrum and node ordering")
     p_verify.add_argument("--coeffs", required=True, help="dense coefficients a_1,a_2,...")
-    p_verify.add_argument("--levels", type=int, help="levels to check (default 9)")
+    p_verify.add_argument("--levels", type=int, default=9, help="levels to check (default 9)")
     p_verify.add_argument("--grid-points", type=int, default=1001, help="grid samples (default 1001)")
     p_verify.add_argument("--half-width", type=float, default=10.0,
                           help="grid half width (default 10)")
@@ -509,22 +455,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception -> (exit code, message); the first match wins, so SingularMatrixError
+# stays ahead of its base ValueError.  OverflowError: e.g. float(Fraction) > 1.8e308.
+_EXIT_CODES = {
+    SingularMatrixError: (EXIT_SINGULAR, "{}"),
+    EigensolverError: (EXIT_EIGEN, "{}"),
+    ValueError: (EXIT_PARSE, "{}"),
+    OverflowError: (EXIT_PARSE, "value beyond float64 range ({})"),
+    OSError: (EXIT_WRITE, "{}"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SingularMatrixError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except EigensolverError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_EIGEN
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_WRITE
+    except tuple(_EXIT_CODES) as err:
+        code, message = next(v for kind, v in _EXIT_CODES.items() if isinstance(err, kind))
+        print(f"error: {message.format(err)}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ The 5-point stencil pushes the discretization error three orders of magnitude
 below the verification tolerance at identical cost.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,10 @@ SIGN_THRESHOLD_RATIO = 1e-9
 RESIDUAL_TOLERANCE = 1e-8
 NORM_TOLERANCE = 1e-10
 DEGENERACY_FACTOR = 10.0
+# Dense verification holds about six k x k float64 copies at once; grids whose
+# copies would not fit in the byte budget are refused before anything is allocated.
+GRID_BYTE_BUDGET = 2 * 2**30
+MAX_GRID_POINTS = math.isqrt(GRID_BYTE_BUDGET // (6 * 8))
 
 
 class EigensolverError(RuntimeError):
@@ -127,8 +132,11 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
 
     D2 is the symmetric 5-point fourth-order central-difference Laplacian
     (-1, 16, -30, 16, -1)/(12 dx^2); rows near the walls drop the samples that fall
-    outside, which implicitly clamps the wavefunction to zero there.
+    outside, which implicitly clamps the wavefunction to zero there.  Grids above
+    MAX_GRID_POINTS raise ValueError.
     """
+    if spec.points > MAX_GRID_POINTS:
+        raise ValueError(f"{spec.points} grid points exceed the dense limit of {MAX_GRID_POINTS}")
     x = spec.positions()
     dx = spec.spacing
     c = 1.0 / (24.0 * dx * dx)

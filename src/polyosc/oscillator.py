@@ -1,4 +1,4 @@
-"""Harmonic-oscillator reference data: energies, Hermite polynomials, eigenfunctions.
+"""Harmonic-oscillator reference data: energies, eigenfunctions and node counts.
 
 Everything is in dimensionless form (unit mass, unit frequency, hbar = 1), so the
 oscillator Hamiltonian is p^2/2 + x^2/2 with eigenvalues n + 1/2 and eigenfunctions
@@ -7,7 +7,6 @@ polynomials eta_n.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,54 +25,6 @@ def oscillator_energy(n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"level index must be non-negative, got {n}")
     return Fraction(2 * n + 1, 2)
-
-
-@dataclass(frozen=True)
-class HermitePoly:
-    """Physicists' Hermite polynomial eta_n with exact integer coefficients.
-
-    Attributes:
-        n: Polynomial degree.
-        coefficients: Coefficients from constant to leading term, length n + 1.
-    """
-
-    n: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"degree must be non-negative, got {self.n}")
-        if len(self.coefficients) != self.n + 1:
-            raise ValueError(
-                f"degree-{self.n} polynomial needs {self.n + 1} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
-
-    def evaluate(self, x: float) -> float:
-        """Evaluate at x by Horner's scheme."""
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-
-def hermite(n: int) -> HermitePoly:
-    """Physicists' Hermite polynomial via eta_{k+1} = 2x eta_k - 2k eta_{k-1}.
-
-    Coefficients are exact integers; the leading coefficient is 2^n.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    prev = [1]
-    if n == 0:
-        return HermitePoly(0, tuple(prev))
-    cur = [0, 2]
-    for k in range(1, n):
-        nxt = [0] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= 2 * k * c
-        prev, cur = cur, nxt
-    return HermitePoly(n, tuple(cur))
 
 
 def eigenfunction_samples(n: int, x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
@@ -107,28 +58,6 @@ def eigenfunction_samples(n: int, x: npt.NDArray[np.float64]) -> npt.NDArray[np.
             math.sqrt(2.0 / (k + 1)) * xs * p_cur - math.sqrt(k / (k + 1.0)) * p_prev
         )
     return p_cur
-
-
-def eigenfunction_value(n: int, x: float) -> float:
-    """Value of the normalized oscillator eigenfunction phi_n at a single point.
-
-    Args:
-        n: Level index, n >= 0.
-        x: Position, finite.
-
-    Returns:
-        phi_n(x) as a float.
-
-    Raises:
-        ValueError: If n is negative or x is not finite.
-        OverflowError: If an intermediate of the recurrence leaves float range.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"position must be finite, got {x!r}")
-    value = float(eigenfunction_samples(n, np.asarray([x]))[0])
-    if not math.isfinite(value):
-        raise OverflowError(f"phi_{n}({x}) left the floating-point range")
-    return value
 
 
 def analytic_node_count(n: int) -> int:

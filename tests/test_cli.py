@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +10,44 @@ from polyosc.exactalg import SingularMatrixError
 from polyosc.gridverify import EigensolverError
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ------------------------------------------------------------- golden outputs
+
+# Exact commands print only rationals and correctly rounded float64 decimals, so
+# their output is the same on every machine.  tests/golden/<case>.<format> holds
+# it byte for byte.
+GOLDEN_REQUEST = {
+    "targets": [{"level": 0, "energy": 1}, {"level": 2, "energy": "2"}],
+    "drop_powers": [2],
+}
+GOLDEN_CASES = {
+    "dial_inline": ["dial", "--targets", "0:-3,1:-15/2"],
+    "dial_request": ["dial", "--request", "REQUEST", "--levels", "3"],
+    "dial_gapped": ["dial", "--targets", "0:1,2:2", "--levels", "3"],
+    "dial_drop_powers": ["dial", "--targets", "0:1,1:2", "--drop-powers", "2", "--levels", "4"],
+    "dial_levels": ["dial", "--targets", "0:1/3,1:1/5,2:1/7", "--levels", "4"],
+    "spectrum": ["spectrum", "--coeffs=-13/2,1", "--levels", "5"],
+    "det": ["det", "6"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(capsys, tmp_path, case, fmt):
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(GOLDEN_REQUEST))
+    argv = [str(request) if arg == "REQUEST" else arg for arg in GOLDEN_CASES[case]]
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{case}.{fmt}").read_text()
 
 
 # ------------------------------------------------------------------------ dial
@@ -117,10 +152,10 @@ def test_dial_partial_via_noncontiguous_targets(capsys):
 
 
 def test_dial_singular_exit_code(capsys, monkeypatch):
-    def boom(target):
+    def boom(target, drop_powers=None):
         raise SingularMatrixError("no pivot available in the h^2 column")
 
-    monkeypatch.setattr(cli, "dial", boom)
+    monkeypatch.setattr(cli, "dial_partial", boom)
     code, _, err = run_cli(capsys, "dial", "--targets", "0:1,1:2")
     assert code == 3
     assert "h^2" in err
@@ -195,6 +230,52 @@ def test_verify_json_reports_grid(capsys):
     assert body["levels"][0]["analytic_energy"] == "1/2"
 
 
+# Grid eigenvalues and errors depend on LAPACK and libm; the layout and the exact
+# columns do not.
+VERIFY_HEADER = (
+    "k,grid_eigenvalue,node_count,matched_level,analytic_E_n,analytic_decimal,"
+    "abs_error,rel_error,within_tolerance"
+)
+VERIFY_EXACT = [  # node_count, matched_level, analytic_E_n for --coeffs=-13/2,1
+    (3, 3, "-21/2"), (2, 2, "-10"), (4, 4, "-9"), (1, 1, "-15/2"), (5, 5, "-11/2"),
+    (0, 0, "-3"), (6, 6, "0"), (7, 7, "15/2"), (8, 8, "17"),
+]
+
+
+def test_verify_csv_layout_and_exact_columns(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--coeffs=-13/2,1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == VERIFY_HEADER
+    rows = [line.split(",") for line in lines[1:10]]
+    assert [(int(r[2]), int(r[3]), r[4]) for r in rows] == VERIFY_EXACT
+    assert [r[0] for r in rows] == [str(k) for k in range(9)]
+    assert [line.split(" = ")[0] for line in lines[10:]] == [
+        "# expected_sequence", "# node_sequence", "# sequence_matches", "# degenerate",
+        "# tolerance", "# warning", "# passed",
+    ]
+    assert out.endswith("# passed = true\n")
+
+
+def test_verify_json_key_order_and_exact_columns(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--coeffs=-13/2,1", "--format", "json")
+    assert code == 0
+    body = json.loads(out)
+    assert list(body) == [
+        "grid", "tolerance", "levels", "expected_sequence", "node_sequence",
+        "sequence_matches", "degenerate", "warning", "passed",
+    ]
+    assert list(body["grid"]) == ["half_width", "points"]
+    assert list(body["levels"][0]) == [
+        "position", "grid_eigenvalue", "node_count", "matched_level", "analytic_energy",
+        "analytic_decimal", "abs_error", "rel_error", "within_tolerance",
+    ]
+    exact = [(lvl["node_count"], lvl["matched_level"], lvl["analytic_energy"])
+             for lvl in body["levels"]]
+    assert exact == VERIFY_EXACT
+    assert out.endswith("}\n")
+
+
 def test_verify_eigensolver_failure_exits_5(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise EigensolverError("eigensolver failed to converge")
@@ -248,6 +329,39 @@ def test_figure_json_mode(capsys, tmp_path):
     assert (out_dir / "figure.svg").exists()
 
 
+def test_figure_csv_layout(capsys, tmp_path):
+    out_dir = tmp_path / "fig"
+    code, out, _ = run_cli(capsys, "figure", "--coeffs=-13/2,1", "--levels", "5",
+                           "--grid-points", "11", "--out", str(out_dir))
+    assert (code, out) == (0, "")
+    assert (out_dir / "spectrum.csv").read_text() == (
+        "n,h_n,E_n,E_n_decimal\n0,1/2,-3,-3.0\n1,3/2,-15/2,-7.5\n2,5/2,-10,-10.0\n"
+        "3,7/2,-21/2,-10.5\n4,9/2,-9,-9.0\n"
+    )
+    cross = (out_dir / "cross_section.csv").read_text().splitlines()
+    assert cross[0] == "x,energy" and len(cross) == 12
+    eigen = (out_dir / "eigenfunctions.csv").read_text().splitlines()
+    assert eigen[0].split(" = ")[0] == "# display_scale"
+    assert eigen[1] == "x,level_0,level_1,level_2,level_3,level_4"
+    assert len(eigen) == 13
+
+
+def test_figure_json_layout(capsys, tmp_path):
+    out_dir = tmp_path / "fig"
+    code, out, _ = run_cli(capsys, "figure", "--coeffs=-13/2,1", "--levels", "5",
+                           "--grid-points", "11", "--out", str(out_dir), "--format", "json")
+    assert (code, out) == (0, "")
+    # the figure's spectrum file is the spectrum command's result
+    assert (out_dir / "spectrum.json").read_text() == (GOLDEN / "spectrum.json").read_text()
+    cross = json.loads((out_dir / "cross_section.json").read_text())
+    assert list(cross) == ["x", "energy"]
+    eigen = json.loads((out_dir / "eigenfunctions.json").read_text())
+    assert list(eigen) == ["display_scale", "x", "levels"]
+    assert list(eigen["levels"]) == ["0", "1", "2", "3", "4"]
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "cross_section.json", "eigenfunctions.json", "figure.svg", "spectrum.json"]
+
+
 def test_figure_unwritable_out_exits_6(capsys, tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
@@ -279,6 +393,29 @@ def test_det_rejects_nonpositive(capsys):
     code, _, err = run_cli(capsys, "det", "0")
     assert code == 2
     assert "size" in err
+
+
+# -------------------------------------------------------- out-of-range input
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--coeffs=1e400"],
+    ["dial", "--targets", "0:1e400"],
+    ["verify", "--coeffs=1e400"],
+    ["figure", "--coeffs=1e400", "--out", "OUT"],
+], ids=lambda argv: argv[0])
+def test_value_beyond_float64_exits_2(capsys, tmp_path, argv):
+    argv = [str(tmp_path / "fig") if arg == "OUT" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: value beyond float64 range")
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_refuses_oversized_grid(capsys):
+    # refused before the k x k operator is allocated
+    code, out, err = run_cli(capsys, "verify", "--coeffs=1", "--grid-points", "10000000")
+    assert (code, out) == (2, "")
+    assert err == "error: 10000000 grid points exceed the dense limit of 6688\n"
 
 
 def test_module_entry_point_subprocess():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from polyosc import gridverify
 from polyosc.exactalg import PolynomialHamiltonian, SpectrumTarget, dial
 from polyosc.gridverify import (
     EigensolverError,
@@ -42,6 +43,13 @@ def test_grid_spec_validation():
         GridSpec(half_width=5.0, points=2)
     with pytest.raises(ValueError):
         GridSpec(half_width=math.inf, points=11)
+
+
+def test_grid_size_limit_fits_the_byte_budget():
+    # arithmetic only: a grid near the limit is never built here
+    k = gridverify.MAX_GRID_POINTS
+    assert 6 * 8 * k * k <= gridverify.GRID_BYTE_BUDGET < 6 * 8 * (k + 1) ** 2
+    assert k == 6688  # six float64 copies in 2 GiB
 
 
 # -------------------------------------------------------------- grid operator

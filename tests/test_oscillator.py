@@ -1,19 +1,77 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polyosc.oscillator import (
-    HermitePoly,
-    analytic_node_count,
-    eigenfunction_samples,
-    eigenfunction_value,
-    hermite,
-    oscillator_energy,
-)
+from polyosc.oscillator import analytic_node_count, eigenfunction_samples, oscillator_energy
 
+# ---------------------------------------------------------------- test oracle
+# Exact Hermite polynomials give phi_n by the explicit formula, a route that
+# shares nothing with the normalized recurrence in eigenfunction_samples.
+
+
+@dataclass(frozen=True)
+class HermitePoly:
+    """Physicists' Hermite polynomial eta_n with exact integer coefficients.
+
+    Attributes:
+        n: Polynomial degree.
+        coefficients: Coefficients from constant to leading term, length n + 1.
+    """
+
+    n: int
+    coefficients: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"degree must be non-negative, got {self.n}")
+        if len(self.coefficients) != self.n + 1:
+            raise ValueError(
+                f"degree-{self.n} polynomial needs {self.n + 1} coefficients, "
+                f"got {len(self.coefficients)}"
+            )
+
+    def evaluate(self, x: float) -> float:
+        """Evaluate at x by Horner's scheme."""
+        acc = 0.0
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
+
+
+def hermite(n: int) -> HermitePoly:
+    """Physicists' Hermite polynomial via eta_{k+1} = 2x eta_k - 2k eta_{k-1}.
+
+    Coefficients are exact integers; the leading coefficient is 2^n.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be non-negative, got {n}")
+    prev = [1]
+    if n == 0:
+        return HermitePoly(0, tuple(prev))
+    cur = [0, 2]
+    for k in range(1, n):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= 2 * k * c
+        prev, cur = cur, nxt
+    return HermitePoly(n, tuple(cur))
+
+
+def phi_direct(n: int, x: float) -> float:
+    """phi_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)) from the Hermite oracle."""
+    norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+    return hermite(n).evaluate(x) * math.exp(-x * x / 2.0) / norm
+
+
+def phi(n: int, x: float) -> float:
+    return float(eigenfunction_samples(n, np.array([x]))[0])
+
+
+# ------------------------------------------------------------------- tests
 
 def test_oscillator_energy_first_values():
     assert oscillator_energy(0) == Fraction(1, 2)
@@ -63,16 +121,19 @@ def test_hermite_evaluate():
 
 def test_eigenfunction_against_explicit_formula():
     # frozen from an explicit H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)) evaluation
-    assert eigenfunction_value(0, 0.0) == pytest.approx(0.7511255444649425, rel=1e-14)
-    assert eigenfunction_value(3, 0.7) == pytest.approx(-0.4799535030961139, rel=1e-13)
-    assert eigenfunction_value(7, -1.9) == pytest.approx(0.30500530049199953, rel=1e-13)
-    assert eigenfunction_value(12, 3.25) == pytest.approx(-0.3189889915889105, rel=1e-13)
+    assert phi(0, 0.0) == pytest.approx(0.7511255444649425, rel=1e-14)
+    assert phi(3, 0.7) == pytest.approx(-0.4799535030961139, rel=1e-13)
+    assert phi(7, -1.9) == pytest.approx(0.30500530049199953, rel=1e-13)
+    assert phi(12, 3.25) == pytest.approx(-0.3189889915889105, rel=1e-13)
+    for n, x in ((0, 0.0), (3, 0.7), (7, -1.9), (12, 3.25)):
+        assert phi(n, x) == pytest.approx(phi_direct(n, x), rel=1e-12)
 
 
 def test_eigenfunction_far_tail_is_stable():
     # deep under the barrier the normalized recurrence must not blow up
-    assert eigenfunction_value(20, 10.0) == pytest.approx(3.3140237863718264e-09, rel=1e-10)
-    assert abs(eigenfunction_value(32, 12.0)) < 1e-9
+    assert phi(20, 10.0) == pytest.approx(3.3140237863718264e-09, rel=1e-10)
+    assert phi(20, 10.0) == pytest.approx(phi_direct(20, 10.0), rel=1e-10)
+    assert abs(phi(32, 12.0)) < 1e-9
 
 
 def test_eigenfunction_matches_direct_formula_randomized():
@@ -80,10 +141,7 @@ def test_eigenfunction_matches_direct_formula_randomized():
     for _ in range(60):
         n = rng.randrange(0, 15)
         x = rng.uniform(-4.0, 4.0)
-        poly = hermite(n)
-        norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
-        direct = poly.evaluate(x) * math.exp(-x * x / 2.0) / norm
-        assert eigenfunction_value(n, x) == pytest.approx(direct, rel=1e-11, abs=1e-13)
+        assert phi(n, x) == pytest.approx(phi_direct(n, x), rel=1e-11, abs=1e-13)
 
 
 def test_eigenfunction_samples_vectorized():
@@ -91,7 +149,8 @@ def test_eigenfunction_samples_vectorized():
     vals = eigenfunction_samples(2, xs)
     assert vals.shape == xs.shape
     for x, v in zip(xs, vals):
-        assert v == eigenfunction_value(2, float(x))
+        assert v == phi(2, float(x))  # elementwise, the same value as a one-point call
+        assert v == pytest.approx(phi_direct(2, float(x)), rel=1e-13, abs=1e-15)
 
 
 def test_eigenfunction_symmetry():
@@ -115,9 +174,9 @@ def test_eigenfunction_orthonormality_trapezoid():
 
 def test_eigenfunction_input_validation():
     with pytest.raises(ValueError):
-        eigenfunction_value(-1, 0.0)
+        eigenfunction_samples(-1, np.array([0.0]))
     with pytest.raises(ValueError):
-        eigenfunction_value(2, math.inf)
+        eigenfunction_samples(2, np.array([math.inf]))
     with pytest.raises(ValueError):
         eigenfunction_samples(1, np.array([0.0, math.nan]))
 

@@ -21,15 +21,7 @@ from .oscillator import oscillator_energy
 
 
 class SingularMatrixError(ValueError):
-    """Raised when elimination cannot find a nonzero pivot.
-
-    Attributes:
-        column_power: The h-power labelling the pivot column that failed.
-    """
-
-    def __init__(self, message: str, column_power: int | None = None):
-        super().__init__(message)
-        self.column_power = column_power
+    """Raised when elimination cannot find a nonzero pivot."""
 
 
 def _as_fraction(value) -> Fraction:
@@ -49,17 +41,13 @@ class EnergyMatrix:
 
     Attributes:
         entries: Row-major rational entries.
-        row_levels: Oscillator level n labelling each row.
         column_powers: h-power j labelling each column.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
-    row_levels: tuple[int, ...]
     column_powers: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != len(self.row_levels):
-            raise ValueError("one row level per matrix row required")
         widths = {len(row) for row in self.entries}
         if len(widths) > 1:
             raise ValueError("matrix rows have unequal lengths")
@@ -161,15 +149,14 @@ def build_energy_matrix(levels: Sequence[int], powers: Sequence[int]) -> EnergyM
         levels: Oscillator levels labelling the rows, each >= 0.
         powers: h-powers labelling the columns, each >= 1.
     """
-    lv = tuple(int(n) for n in levels)
     pw = tuple(int(j) for j in powers)
     if any(j < 1 for j in pw):
         raise ValueError(f"column powers must be >= 1, got {pw}")
     rows = []
-    for n in lv:
-        h = oscillator_energy(n)
+    for n in levels:
+        h = oscillator_energy(int(n))
         rows.append(tuple(h**j for j in pw))
-    return EnergyMatrix(tuple(rows), lv, pw)
+    return EnergyMatrix(tuple(rows), pw)
 
 
 def _scaled_integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
@@ -184,10 +171,10 @@ def _scaled_integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[
     return out, scales
 
 
-def _forward_eliminate(m: list[list[int]], size: int) -> int:
-    """Fraction-free (Bareiss) elimination of the first `size` columns, in place.
+def _forward_eliminate(m: list[list[int]], powers: Sequence[int]) -> int:
+    """Fraction-free (Bareiss) elimination of one column per h-power, in place.
 
-    Rows may be wider than `size` (augmented columns ride along).  Pivots are the
+    Rows may be wider than `powers` (augmented columns ride along).  Pivots are the
     largest-magnitude entries for modest integer growth; the division in each
     update is exact by Sylvester's identity.
 
@@ -199,14 +186,16 @@ def _forward_eliminate(m: list[list[int]], size: int) -> int:
     """
     sign = 1
     prev = 1
-    for k in range(size):
+    for k, power in enumerate(powers):
         pivot_row = max(
             (r for r in range(k, len(m)) if m[r][k] != 0),
             key=lambda r: abs(m[r][k]),
             default=None,
         )
         if pivot_row is None:
-            raise SingularMatrixError(f"no nonzero pivot in column {k}", column_power=k)
+            raise SingularMatrixError(
+                f"matrix is singular: no pivot available in the h^{power} column"
+            )
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
@@ -227,7 +216,7 @@ def determinant(matrix: EnergyMatrix) -> Fraction:
         raise ValueError(f"determinant needs a square matrix, got {n}x{matrix.n_cols}")
     rows, scales = _scaled_integer_rows(matrix.entries)
     try:
-        sign = _forward_eliminate(rows, n - 1)
+        sign = _forward_eliminate(rows, matrix.column_powers)
     except SingularMatrixError:
         return Fraction(0)
     det_scaled = Fraction(sign * rows[n - 1][n - 1])
@@ -253,7 +242,7 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
         The unique solution as Fractions, re-checked against every equation.
 
     Raises:
-        SingularMatrixError: If the matrix is singular; `column_power` names the
+        SingularMatrixError: If the matrix is singular; the message names the
             h-power of the pivot column where elimination failed.
     """
     n = matrix.n_rows
@@ -265,20 +254,7 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
 
     augmented = [tuple(row) + (b[i],) for i, row in enumerate(matrix.entries)]
     rows, _ = _scaled_integer_rows(augmented)
-    try:
-        _forward_eliminate(rows, n - 1 if n > 1 else 0)
-    except SingularMatrixError as err:
-        power = matrix.column_powers[err.column_power]
-        raise SingularMatrixError(
-            f"matrix is singular: no pivot available in the h^{power} column",
-            column_power=power,
-        ) from None
-    if rows[n - 1][n - 1] == 0:
-        power = matrix.column_powers[n - 1]
-        raise SingularMatrixError(
-            f"matrix is singular: no pivot available in the h^{power} column",
-            column_power=power,
-        )
+    _forward_eliminate(rows, matrix.column_powers)
 
     x = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
@@ -306,11 +282,7 @@ def dial(target: SpectrumTarget) -> PolynomialHamiltonian:
             f"dial needs levels 0..{n - 1} exactly, got {target.levels}; "
             "use dial_partial to leave levels unassigned"
         )
-    matrix = build_energy_matrix(target.levels, range(1, n + 1))
-    coeffs = solve_linear_exact(matrix, target.energies)
-    ham = PolynomialHamiltonian(tuple(zip(matrix.column_powers, coeffs)))
-    _check_dialled(ham, target)
-    return ham
+    return _fit(target, range(1, n + 1))
 
 
 def dial_partial(
@@ -331,12 +303,9 @@ def dial_partial(
         A polynomial with one term per retained power.
 
     Raises:
-        SingularMatrixError: If the stripped system is singular.  The message
-            names the assigned levels and retained powers.  (For strictly
-            increasing powers and the distinct positive oscillator energies this
-            cannot happen -- stripped energy matrices are generalized Vandermonde
-            matrices with positive determinant -- but the check stays, since
-            `EnergyMatrix` does not forbid hand-built degenerate systems.)
+        SingularMatrixError: Never for valid input: a stripped energy matrix is a
+            generalized Vandermonde matrix in the distinct positive h_n, so it is
+            never singular.
     """
     k = len(target.pairs)
     if drop_powers is None:
@@ -356,16 +325,14 @@ def dial_partial(
             seen.add(p)
         retained = tuple(p for p in range(1, n_full + 1) if p not in seen)
 
-    matrix = build_energy_matrix(target.levels, retained)
-    try:
-        coeffs = solve_linear_exact(matrix, target.energies)
-    except SingularMatrixError as err:
-        raise SingularMatrixError(
-            f"stripped system is singular for levels {list(target.levels)} with "
-            f"retained powers {list(retained)} (failing pivot column h^{err.column_power})",
-            column_power=err.column_power,
-        ) from None
-    ham = PolynomialHamiltonian(tuple(zip(retained, coeffs)))
+    return _fit(target, retained)
+
+
+def _fit(target: SpectrumTarget, powers: Sequence[int]) -> PolynomialHamiltonian:
+    # Build, solve and back-check: the one fit shared by dial and dial_partial.
+    matrix = build_energy_matrix(target.levels, powers)
+    coeffs = solve_linear_exact(matrix, target.energies)
+    ham = PolynomialHamiltonian(tuple(zip(matrix.column_powers, coeffs)))
     _check_dialled(ham, target)
     return ham
 

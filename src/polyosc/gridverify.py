@@ -23,6 +23,7 @@ import numpy.typing as npt
 import scipy.linalg
 
 from .exactalg import PolynomialHamiltonian
+from .oscillator import oscillator_energy
 from .spectrum import evaluate_polynomial, evaluate_spectrum, ordering_report
 
 SIGN_THRESHOLD_RATIO = 1e-9
@@ -73,6 +74,8 @@ class GridOperator:
                 f"operator shape {self.entries.shape} does not match "
                 f"{self.spec.points} grid points"
             )
+        if not np.all(np.isfinite(self.entries)):
+            raise ValueError("grid operator has non-finite entries (float64 overflow)")
         if not np.array_equal(self.entries, self.entries.T):
             raise ValueError("grid operator must be exactly symmetric")
 
@@ -98,8 +101,8 @@ class LevelCheck:
             or by sorted position when the spectrum is degenerate).
         analytic_energy: Exact P(n + 1/2) for the matched level.
         abs_error: |grid - analytic|.
-        rel_error: abs_error / |analytic|, or None when the analytic energy is 0.
-        within_tolerance: Relative check, absolute at an exact zero.
+        rel_error: abs_error / |analytic|, or None where the analytic energy is 0.0 in float64.
+        within_tolerance: Relative check, absolute where rel_error is None.
     """
 
     position: int
@@ -209,10 +212,10 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     return GridEigenSolution(operator.spec, eigenvalues, eigenvectors)
 
 
-def count_nodes(vector: npt.NDArray[np.float64], threshold_ratio: float = SIGN_THRESHOLD_RATIO) -> int:
+def count_nodes(vector: npt.NDArray[np.float64]) -> int:
     """Sign changes of a sampled function, ignoring near-zero samples.
 
-    A sample participates only if its magnitude exceeds threshold_ratio times the
+    A sample participates only if its magnitude exceeds SIGN_THRESHOLD_RATIO times the
     largest magnitude; counting sign changes among the survivors means a zero
     crossing is counted once even when a sample lands on it.
     """
@@ -224,7 +227,7 @@ def count_nodes(vector: npt.NDArray[np.float64], threshold_ratio: float = SIGN_T
     peak = np.max(np.abs(v))
     if peak == 0.0:
         raise ValueError("node counting needs a nonzero vector")
-    live = v[np.abs(v) > threshold_ratio * peak]
+    live = v[np.abs(v) > SIGN_THRESHOLD_RATIO * peak]
     signs = np.sign(live)  # sign comparison, not products: products underflow
     return int(np.sum(signs[:-1] != signs[1:]))
 
@@ -245,10 +248,17 @@ def _error_budget_warning(
         return None
     dx = spec.spacing
     h_top = levels_to_check - 0.5
-    grid_shift = dx**4 * (2.0 * h_top) ** 3 / 180.0
-    disc = degree * max(dense) * h_top ** (degree - 1) * grid_shift
-    mu_max = 8.0 / (3.0 * dx * dx) + 0.5 * spec.half_width**2
-    roundoff = np.finfo(float).eps * sum(c * mu_max ** (j + 1) for j, c in enumerate(dense))
+    # Products, not `**`: a float64 product saturates at inf where `**` raises.
+    grid_shift = dx * dx * dx * dx * (2.0 * h_top) ** 3 / 180.0
+    disc = degree * max(dense)
+    for _ in range(degree - 1):
+        disc *= h_top
+    disc *= grid_shift
+    mu_max = 8.0 / (3.0 * dx * dx) + 0.5 * spec.half_width * spec.half_width
+    horner = 0.0  # sum_j |a_j| mu_max^(j+1) by Horner on the dense |a_j|
+    for c in reversed(dense):
+        horner = (horner + c) * mu_max
+    roundoff = np.finfo(float).eps * horner
     if disc + roundoff <= tolerance:
         return None
     return (
@@ -268,9 +278,9 @@ def verify_dialled(
 
     The lowest eigenpairs of P(oscillator grid) are compared level by level with
     the exact analytic spectrum: eigenvalues must agree within `tolerance`
-    (relative, or absolute where the exact energy is zero) and the eigenvector
-    node counts must reproduce the analytic ascending permutation.  Disagreement
-    produces a failure report, not an exception.
+    (relative, or absolute where the exact energy is 0.0 in float64) and the
+    eigenvector node counts must reproduce the analytic ascending permutation.
+    Disagreement produces a failure report, not an exception.
 
     When two exact energies sit closer than 10x the tolerance the report is marked
     degenerate: eigenvalues are still checked against the sorted exact spectrum,
@@ -310,11 +320,11 @@ def verify_dialled(
         exact = (
             records[matched].energy
             if matched < count
-            else evaluate_polynomial(ham, Fraction(2 * matched + 1, 2))
+            else evaluate_polynomial(ham, oscillator_energy(matched))
         )
         exact_float = float(exact)
         abs_error = abs(grid_value - exact_float)
-        if exact == 0:
+        if exact_float == 0.0:
             rel_error = None
             within = abs_error <= tolerance
         else:

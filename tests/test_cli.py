@@ -276,6 +276,45 @@ def test_verify_json_key_order_and_exact_columns(capsys):
     assert out.endswith("}\n")
 
 
+def zeros_then(count: int, coeff: str) -> str:
+    return "--coeffs=" + ",".join(["0"] * count + [coeff])
+
+
+def test_verify_energy_underflowing_float64_is_checked_absolutely(capsys):
+    # E_0 = 1e-300 (1/2)^90 is nonzero but 0.0 as a float: no relative error
+    code, out, _ = run_cli(
+        capsys, "verify", zeros_then(89, "1e-300"), "--levels", "3", "--grid-points", "301"
+    )
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[0] == VERIFY_HEADER
+    row = lines[1].split(",")
+    assert (row[3], row[5], row[7]) == ("0", "0.0", "")
+    assert lines[-1] == "# passed = false"
+
+
+@pytest.mark.parametrize("argv", [
+    [zeros_then(109, "1e-280"), "--levels", "3", "--grid-points", "301"],  # mu_max^110
+    ["--coeffs=1", "--half-width", "1e78", "--grid-points", "11", "--levels", "3"],  # dx^4
+], ids=["degree-110", "wide-grid"])
+def test_verify_error_budget_beyond_float64_warns(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, err) == (4, "")
+    (warning,) = [line for line in out.splitlines() if line.startswith("# warning = ")]
+    assert warning.startswith("# warning = estimated grid error ")
+    assert "exceeds tolerance 1e-03" in warning
+    assert out.endswith("# passed = false\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_verify_non_finite_operator_names_the_cause(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--coeffs=1", "--half-width", "1e160", "--grid-points", "51"
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: grid operator has non-finite entries (float64 overflow)"
+
+
 def test_verify_eigensolver_failure_exits_5(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise EigensolverError("eigensolver failed to converge")

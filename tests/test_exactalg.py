@@ -84,13 +84,12 @@ def test_energy_matrix_entries():
     assert matrix.n_rows == matrix.n_cols == 3
     assert matrix.entries[0] == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
     assert matrix.entries[2] == (Fraction(5, 2), Fraction(25, 4), Fraction(125, 8))
-    assert matrix.row_levels == (0, 1, 2)
     assert matrix.column_powers == (1, 2, 3)
 
 
 def test_energy_matrix_validation():
     with pytest.raises(ValueError):
-        EnergyMatrix(((Fraction(1),),), row_levels=(0, 1), column_powers=(1,))
+        EnergyMatrix(((Fraction(1),),), column_powers=(1, 2))
     with pytest.raises(ValueError):
         build_energy_matrix(range(2), [0, 1])  # powers start at 1
 
@@ -127,7 +126,7 @@ def test_determinant_closed_form_matches_elimination_to_n12():
 
 def test_determinant_singular_and_nonsquare():
     row = tuple(Fraction(1, 2) ** j for j in (1, 2))
-    singular = EnergyMatrix((row, row), row_levels=(0, 1), column_powers=(1, 2))
+    singular = EnergyMatrix((row, row), column_powers=(1, 2))
     assert determinant(singular) == 0
     wide = build_energy_matrix(range(2), range(1, 4))
     with pytest.raises(ValueError):
@@ -145,7 +144,6 @@ def test_determinant_random_rational_matrices():
         ]
         matrix = EnergyMatrix(
             tuple(tuple(r) for r in rows),
-            row_levels=tuple(range(n)),
             column_powers=tuple(range(1, n + 1)),
         )
         assert determinant(matrix) == cofactor_det(rows)
@@ -161,9 +159,13 @@ def test_solve_linear_exact_known_system():
 
 def test_solve_linear_exact_singular_names_column():
     row = (Fraction(1, 2), Fraction(1, 4))
-    matrix = EnergyMatrix((row, row), row_levels=(0, 1), column_powers=(1, 2))
+    matrix = EnergyMatrix((row, row), column_powers=(1, 2))
     with pytest.raises(SingularMatrixError, match=r"h\^2"):
         solve_linear_exact(matrix, (Fraction(1), Fraction(2)))
+    zero = EnergyMatrix(((Fraction(0),),), column_powers=(3,))
+    with pytest.raises(SingularMatrixError) as err:
+        solve_linear_exact(zero, (Fraction(1),))
+    assert str(err.value) == "matrix is singular: no pivot available in the h^3 column"
 
 
 def test_solve_linear_exact_rhs_length():

@@ -11,6 +11,7 @@ system, 4 verification failure, 5 eigensolver non-convergence, 6 unwritable outp
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -140,9 +141,26 @@ def _trailer(items) -> list[str]:
     return [f"# {name} = {text(value)}" for name, value in items]
 
 
+def _strict(value):
+    """The body with each non-finite float as the text CSV prints for it ('inf', 'nan').
+
+    Strict JSON has no Infinity or NaN, and an error can saturate at inf.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _render(fmt: str, body: dict, to_csv) -> str:
-    """The body as indented JSON, or as the CSV lines `to_csv` derives from it."""
-    text = json.dumps(body, indent=2) if fmt == "json" else "\n".join(to_csv(body))
+    """The body as indented strict JSON, or as the CSV lines `to_csv` derives from it."""
+    if fmt == "json":
+        text = json.dumps(_strict(body), indent=2, allow_nan=False)
+    else:
+        text = "\n".join(to_csv(body))
     return text + "\n"
 
 

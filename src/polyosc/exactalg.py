@@ -7,12 +7,18 @@ eigenvalues therefore means solving the N x N linear system
     sum_j (n + 1/2)^j a_j = E_n,   n = 0..N-1, j = 1..N,
 
 whose matrix is a generalized Vandermonde matrix in the oscillator energies.  All
-arithmetic here is exact: matrices hold `fractions.Fraction` entries and the solver
-is fraction-free (Bareiss) elimination over scaled integer rows, so a returned
-coefficient vector reproduces the requested energies with zero residual.
+arithmetic here is exact.  With powers 1..N, row n is h_n (1, h_n, ..., h_n^{N-1}),
+so the system is polynomial interpolation of E_n / h_n at the distinct nodes h_n:
+the solver recognises that matrix from its entries and solves it by Newton divided
+differences in O(N^2) (Bjorck and Pereyra, Math. Comp. 24, 1970).  Dropped powers
+and any other rational matrix go through fraction-free (Bareiss) elimination over
+scaled integer rows, which `determinant` also uses.  Either way the solution is
+substituted back into every equation over the integers, so a returned coefficient
+vector reproduces the requested energies with zero residual.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -163,10 +169,8 @@ def _scaled_integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[
     """Clear denominators row by row; returns integer rows and the row scales."""
     out, scales = [], []
     for row in rows:
-        scale = 1
-        for entry in row:
-            scale = scale * entry.denominator // math.gcd(scale, entry.denominator)
-        out.append([int(entry * scale) for entry in row])
+        scale = math.lcm(*(entry.denominator for entry in row))
+        out.append([entry.numerator * (scale // entry.denominator) for entry in row])
         scales.append(scale)
     return out, scales
 
@@ -224,7 +228,11 @@ def determinant(matrix: EnergyMatrix) -> Fraction:
 
 
 def determinant_closed_form(n: int) -> Fraction:
-    """Closed form prod_{g=1}^{n-1} g! (2g+1) / 2^n for the full n x n energy matrix."""
+    """Closed form prod_{g=1}^{n-1} g! (2g+1) / 2^n for the full n x n energy matrix.
+
+    It is the Vandermonde product prod_{i<j} (h_j - h_i) = prod_{g<n} g! times
+    prod_n h_n = prod_{g<n} (2g+1) / 2^n, because row n is h_n (1, h_n, ..., h_n^{n-1}).
+    """
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got {n}")
     numerator = math.prod(math.factorial(g) * (2 * g + 1) for g in range(1, n))
@@ -233,6 +241,10 @@ def determinant_closed_form(n: int) -> Fraction:
 
 def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
     """Solve matrix * x = rhs exactly.
+
+    A full energy matrix (powers 1..n, row i equal to (h_i, h_i^2, ..., h_i^n) with
+    distinct nonzero h_i) is solved by interpolation in O(n^2); every other matrix
+    by Bareiss elimination.
 
     Args:
         matrix: Square rational matrix.
@@ -254,19 +266,82 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
 
     augmented = [tuple(row) + (b[i],) for i, row in enumerate(matrix.entries)]
     rows, _ = _scaled_integer_rows(augmented)
-    _forward_eliminate(rows, matrix.column_powers)
+    nodes = _vandermonde_nodes(matrix)
+    if nodes is not None:
+        # P(h_i) = h_i Q(h_i) = b_i: Q interpolates b_i / h_i, and a_{j+1} is Q's x^j.
+        x = _interpolate(nodes, [bi / h for bi, h in zip(b, nodes)])
+    else:
+        m = [row[:] for row in rows]
+        _forward_eliminate(m, matrix.column_powers)
+        x = [Fraction(0)] * n
+        for i in range(n - 1, -1, -1):
+            acc = Fraction(m[i][n])
+            for j in range(i + 1, n):
+                acc -= m[i][j] * x[j]
+            x[i] = acc / m[i][i]
 
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(rows[i][n])
-        for j in range(i + 1, n):
-            acc -= rows[i][j] * x[j]
-        x[i] = acc / rows[i][i]
-
-    for i, row in enumerate(matrix.entries):
-        if sum(row[j] * x[j] for j in range(n)) != b[i]:
+    # Substitute into every scaled integer row, x written as numerators over one
+    # common denominator: sum_j row_j x_j must equal the row's right-hand side.
+    den = math.lcm(*(v.denominator for v in x))
+    nums = [v.numerator * (den // v.denominator) for v in x]
+    for row in rows:
+        if sum(map(operator.mul, row[:n], nums)) != row[n] * den:
             raise RuntimeError("internal consistency failure: exact solve residual is nonzero")
     return tuple(x)
+
+
+def _vandermonde_nodes(matrix: EnergyMatrix) -> list[Fraction] | None:
+    """The nodes h_i if row i is (h_i, h_i^2, ..., h_i^n) for powers 1..n, else None.
+
+    The nodes must be distinct and nonzero, so the interpolation problem is regular.
+    """
+    n = matrix.n_cols
+    if matrix.column_powers != tuple(range(1, n + 1)):
+        return None
+    nodes = []
+    for row in matrix.entries:
+        h = row[0]
+        # Fractions are in lowest terms, so h^j has numerator u^j and denominator v^j.
+        u, v = h.numerator, h.denominator
+        num, den = u, v
+        for entry in row[1:]:
+            num, den = num * u, den * v
+            if entry.numerator != num or entry.denominator != den:
+                return None
+        nodes.append(h)
+    if 0 in nodes or len(set(nodes)) != n:
+        return None
+    return nodes
+
+
+def _interpolate(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> list[Fraction]:
+    """Monomial coefficients c_0..c_{n-1} of the polynomial taking values[i] at nodes[i].
+
+    Bjorck and Pereyra's two stages, O(n^2): Newton divided differences, then the
+    Newton form expanded into monomial coefficients.  Both run on integers over one
+    common denominator for the whole vector, with the nodes written as u_i / v, so
+    only the n returned Fractions are reduced.
+    """
+    n = len(nodes)
+    v = math.lcm(*(h.denominator for h in nodes))
+    u = [h.numerator * (v // h.denominator) for h in nodes]
+    den = math.lcm(*(y.denominator for y in values))
+    c = [y.numerator * (den // y.denominator) for y in values]
+    # Order k: c_i <- (c_i - c_{i-1}) / (x_i - x_{i-k}) = v (c_i - c_{i-1}) / (u_i - u_{i-k});
+    # the common denominator grows by the lcm of this order's node gaps.
+    for k in range(1, n):
+        grow = math.lcm(*(u[i] - u[i - k] for i in range(k, n)))
+        for i in range(n - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * v * (grow // (u[i] - u[i - k]))
+        for i in range(k):
+            c[i] *= grow
+        den *= grow
+    # Expansion c_i <- c_i - x_k c_{i+1}: with c_i scaled by v^(n-1-i) it is c_i - u_k c_{i+1}.
+    c = [ci * v ** (n - 1 - i) for i, ci in enumerate(c)]
+    for k in range(n - 2, -1, -1):
+        for i in range(k, n - 1):
+            c[i] -= u[k] * c[i + 1]
+    return [Fraction(ci, den * v ** (n - 1 - i)) for i, ci in enumerate(c)]
 
 
 def dial(target: SpectrumTarget) -> PolynomialHamiltonian:
@@ -339,10 +414,17 @@ def _fit(target: SpectrumTarget, powers: Sequence[int]) -> PolynomialHamiltonian
 
 def _check_dialled(ham: PolynomialHamiltonian, target: SpectrumTarget) -> None:
     # Deliberately not Horner: an independent power-sum route for the back-check.
+    # With a_p = c_p / D and h = u / v, P(h) = E is checked over the integers as
+    # sum_p c_p u^p v^(top - p) = E D v^top.
+    den = math.lcm(*(a.denominator for _, a in ham.terms))
+    scaled = [(p, a.numerator * (den // a.denominator)) for p, a in ham.terms]
+    top = max(p for p, _ in scaled)
     for level, energy in target.pairs:
         h = oscillator_energy(level)
-        value = sum((a * h**p for p, a in ham.terms), start=Fraction(0))
-        if value != energy:
+        u, v = h.numerator, h.denominator
+        total = sum(c * u**p * v ** (top - p) for p, c in scaled)
+        if total * energy.denominator != energy.numerator * den * v**top:
+            value = Fraction(total, den * v**top)
             raise RuntimeError(
                 f"internal consistency failure: P(h_{level}) = {value} != {energy}"
             )

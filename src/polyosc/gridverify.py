@@ -136,13 +136,18 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
     D2 is the symmetric 5-point fourth-order central-difference Laplacian
     (-1, 16, -30, 16, -1)/(12 dx^2); rows near the walls drop the samples that fall
     outside, which implicitly clamps the wavefunction to zero there.  Grids above
-    MAX_GRID_POINTS raise ValueError.
+    MAX_GRID_POINTS, and spacings whose 1/(24 dx^2) is not finite, raise ValueError.
     """
     if spec.points > MAX_GRID_POINTS:
         raise ValueError(f"{spec.points} grid points exceed the dense limit of {MAX_GRID_POINTS}")
     x = spec.positions()
     dx = spec.spacing
-    c = 1.0 / (24.0 * dx * dx)
+    scale = 24.0 * dx * dx
+    # A spacing so large that scale is inf gives c = 0 and is caught as a non-finite
+    # operator; one so small that scale underflows would divide by zero.
+    if not (scale > 0.0 and math.isfinite(1.0 / scale)):
+        raise ValueError(f"grid spacing {dx!r} is too small for float64 differences")
+    c = 1.0 / scale
     k = spec.points
     entries = (
         np.diag(30.0 * c + 0.5 * x * x)

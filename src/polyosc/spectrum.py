@@ -6,6 +6,7 @@ exact energies therefore reveals every violation of the usual Sturm-Liouville ru
 that energies increase with node count.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -44,14 +45,19 @@ def evaluate_polynomial(ham: PolynomialHamiltonian, xi: Fraction) -> Fraction:
     """Exact value of P at a rational point, by Horner's scheme.
 
     The constant term is implicitly zero, so the final Horner step multiplies by xi
-    once more and P(0) = 0 for every polynomial.
+    once more and P(0) = 0 for every polynomial.  The scheme runs on integers: with
+    xi = u / v and a_j = c_j / D it accumulates sum_j c_j u^(j-1) v^(top-j) and
+    builds one Fraction at the end.
     """
     point = Fraction(xi)
+    u, v = point.numerator, point.denominator
     dense = ham.dense_coefficients()
-    acc = Fraction(0)
+    den = math.lcm(*(a.denominator for a in dense))
+    acc, scale = 0, 1
     for a in reversed(dense):
-        acc = acc * point + a
-    return acc * point
+        acc = acc * u + a.numerator * (den // a.denominator) * scale
+        scale *= v
+    return Fraction(acc * u, den * scale)
 
 
 def evaluate_spectrum(ham: PolynomialHamiltonian, count: int) -> tuple[LevelRecord, ...]:

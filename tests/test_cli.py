@@ -315,6 +315,29 @@ def test_verify_non_finite_operator_names_the_cause(capsys):
     assert err.splitlines()[-1] == "error: grid operator has non-finite entries (float64 overflow)"
 
 
+def test_verify_json_is_strict_when_an_error_overflows(capsys):
+    # E_0 = 1e-280 (1/2)^110 is subnormal, so level 0's relative error is inf
+    code, out, err = run_cli(
+        capsys, "verify", zeros_then(109, "1e-280"), "--levels", "3", "--grid-points", "301",
+        "--format", "json",
+    )
+    assert (code, err) == (4, "")
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    body = json.loads(out, parse_constant=refuse)
+    assert body["levels"][0]["rel_error"] == "inf"
+
+
+def test_verify_refuses_a_spacing_too_small_for_float64(capsys):
+    # dx = 2e-203, so 24 dx^2 underflows to 0.0
+    code, out, err = run_cli(capsys, "verify", "--coeffs=1", "--half-width", "1e-200")
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "error: grid spacing 2e-203 is too small for float64 differences"
+
+
 def test_verify_eigensolver_failure_exits_5(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise EigensolverError("eigensolver failed to converge")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyosc import exactalg
 from polyosc.exactalg import (
     EnergyMatrix,
     PolynomialHamiltonian,
@@ -166,6 +167,57 @@ def test_solve_linear_exact_singular_names_column():
     with pytest.raises(SingularMatrixError) as err:
         solve_linear_exact(zero, (Fraction(1),))
     assert str(err.value) == "matrix is singular: no pivot available in the h^3 column"
+    # a zero node is not interpolation: it goes to elimination, which names the column
+    zero_node = EnergyMatrix(((Fraction(0), Fraction(0)), row), column_powers=(1, 2))
+    with pytest.raises(SingularMatrixError, match=r"h\^2"):
+        solve_linear_exact(zero_node, (Fraction(1), Fraction(2)))
+
+
+def test_interpolation_and_elimination_agree_on_gapped_levels():
+    # Powers 1..n are solved by interpolation; listing them as n..1 is not recognised
+    # as an energy matrix, so the same system goes through Bareiss elimination.
+    rng = random.Random(20240)
+    for _ in range(30):
+        n = rng.randrange(2, 17)
+        levels = sorted(rng.sample(range(n + rng.randrange(0, 2 * n)), n))
+        rhs = [Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)) for _ in range(n)]
+        ascending = build_energy_matrix(levels, range(1, n + 1))
+        descending = build_energy_matrix(levels, range(n, 0, -1))
+        assert exactalg._vandermonde_nodes(ascending) is not None
+        assert exactalg._vandermonde_nodes(descending) is None
+        assert solve_linear_exact(ascending, rhs) == solve_linear_exact(descending, rhs)[::-1]
+
+
+def test_solve_linear_exact_random_rational_rows_with_energy_powers():
+    # column powers 1..n but arbitrary entries: solved by elimination, checked here
+    rng = random.Random(4711)
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        rows = tuple(
+            tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(n))
+            for _ in range(n)
+        )
+        matrix = EnergyMatrix(rows, column_powers=tuple(range(1, n + 1)))
+        if determinant(matrix) == 0:
+            continue
+        rhs = [Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)) for _ in range(n)]
+        x = solve_linear_exact(matrix, rhs)
+        for row, b in zip(rows, rhs):
+            assert sum((a * xj for a, xj in zip(row, x)), start=Fraction(0)) == b
+
+
+def test_solve_linear_exact_residual_check_catches_a_wrong_interpolant(monkeypatch):
+    interpolate = exactalg._interpolate
+
+    def off_by_tiny(nodes, values):
+        coeffs = interpolate(nodes, values)
+        coeffs[-1] += Fraction(1, 10**30)
+        return coeffs
+
+    monkeypatch.setattr(exactalg, "_interpolate", off_by_tiny)
+    matrix = build_energy_matrix(range(4), range(1, 5))
+    with pytest.raises(RuntimeError, match="exact solve residual is nonzero"):
+        solve_linear_exact(matrix, (Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
 
 
 def test_solve_linear_exact_rhs_length():
@@ -207,6 +259,35 @@ def test_dial_round_trip_randomized():
         ham = dial(SpectrumTarget.from_energies(energies))
         for level, energy in enumerate(energies):
             assert evaluate_polynomial(ham, oscillator_energy(level)) == energy
+
+
+def test_dial_sixty_levels_round_trip():
+    rng = random.Random(6060)
+    energies = [
+        Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**12)) for _ in range(60)
+    ]
+    ham = dial(SpectrumTarget.from_energies(energies))
+    assert [p for p, _ in ham.terms] == list(range(1, 61))
+    for level, energy in enumerate(energies):
+        assert evaluate_polynomial(ham, oscillator_energy(level)) == energy
+
+
+def test_back_check_catches_a_perturbed_coefficient():
+    target = SpectrumTarget.from_energies([Fraction(-3), Fraction(-15, 2)])
+    ham = PolynomialHamiltonian.from_dense([Fraction(-13, 2), 1 + Fraction(1, 10**30)])
+    with pytest.raises(RuntimeError) as err:
+        exactalg._check_dialled(ham, target)
+    value = Fraction(-3) + Fraction(1, 4 * 10**30)  # P(h_0) = -13/4 + (1 + 1e-30)/4
+    assert str(err.value) == f"internal consistency failure: P(h_0) = {value} != -3"
+
+    rng = random.Random(1212)
+    pairs = tuple((lvl, Fraction(rng.randrange(-999, 999), rng.randrange(1, 99)))
+                  for lvl in sorted(rng.sample(range(20), 12)))
+    terms = list(dial_partial(SpectrumTarget(pairs)).terms)
+    p, a = terms[5]
+    terms[5] = (p, a + Fraction(1, 10**30))
+    with pytest.raises(RuntimeError, match=r"P\(h_\d+\) = -?\d+/\d+ != "):
+        exactalg._check_dialled(PolynomialHamiltonian(tuple(terms)), SpectrumTarget(pairs))
 
 
 def test_dial_identity_spectrum():

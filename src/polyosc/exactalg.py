@@ -1,20 +1,21 @@
 """Exact rational linear algebra for dialling oscillator spectra.
 
 A polynomial Hamiltonian P(h) = sum_j a_j h^j (no constant term) applied to the
-dimensionless oscillator h has eigenvalues P(n + 1/2).  Prescribing the first N
-eigenvalues therefore means solving the N x N linear system
+dimensionless oscillator h has eigenvalues P(n + 1/2).  Prescribing the energies of
+N levels therefore means solving the N x N linear system
 
-    sum_j (n + 1/2)^j a_j = E_n,   n = 0..N-1, j = 1..N,
+    sum_j (n + 1/2)^j a_j = E_n,   one row per level n, one column per power j,
 
-whose matrix is a generalized Vandermonde matrix in the oscillator energies.  All
-arithmetic here is exact.  With powers 1..N, row n is h_n (1, h_n, ..., h_n^{N-1}),
-so the system is polynomial interpolation of E_n / h_n at the distinct nodes h_n:
-the solver recognises that matrix from its entries and solves it by Newton divided
-differences in O(N^2) (Bjorck and Pereyra, Math. Comp. 24, 1970).  Dropped powers
-and any other rational matrix go through fraction-free (Bareiss) elimination over
-scaled integer rows, which `determinant` also uses.  Either way the solution is
-substituted back into every equation over the integers, so a returned coefficient
-vector reproduces the requested energies with zero residual.
+whose matrix is a generalized Vandermonde matrix in the oscillator energies.  The
+matrix is held as its row levels and column powers alone; times 2^top, with top the
+largest power, its entries are the integers (2n + 1)^j 2^(top - j).  All arithmetic
+here is exact.  With powers 1..N, row n is h_n (1, h_n, ..., h_n^{N-1}), so the
+system is polynomial interpolation of E_n / h_n at the distinct positive nodes h_n,
+solved by Newton divided differences in O(N^2) (Bjorck and Pereyra, Math. Comp. 24,
+1970).  Every other power list goes through fraction-free (Bareiss) elimination of
+the integer rows, which `determinant` also uses.  Either way the solution is
+substituted back into every integer row, so a returned coefficient vector
+reproduces the requested energies with zero residual.
 """
 
 import math
@@ -41,29 +42,43 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers c_i and one denominator D with values[i] = c_i / D."""
+    # The lcm of a list, not of a generator: star-unpacking a generator builds its tuple
+    # by resizing, which fills CPython's per-size tuple free lists (MBs over a run).
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _check_levels(levels: Sequence[int]) -> None:
+    # Non-negative and strictly increasing, so the energies h_n are distinct and positive.
+    if levels and levels[0] < 0:
+        raise ValueError(f"level indices must be non-negative, got {levels[0]}")
+    for a, b in zip(levels, levels[1:]):
+        if b <= a:
+            raise ValueError(f"levels must be strictly increasing, got {a} then {b}")
+
+
 @dataclass(frozen=True)
 class EnergyMatrix:
-    """Matrix of oscillator-energy powers (h_n)^j with exact rational entries.
+    """Matrix with entry (h_n)^j, h_n = n + 1/2, for each row level n and column power j.
 
     Attributes:
-        entries: Row-major rational entries.
-        column_powers: h-power j labelling each column.
+        levels: Oscillator level labelling each row; non-negative, strictly increasing.
+        column_powers: h-power labelling each column; each >= 1, in any order.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    levels: tuple[int, ...]
     column_powers: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise ValueError("matrix rows have unequal lengths")
-        width = widths.pop() if widths else 0
-        if width != len(self.column_powers):
-            raise ValueError("one column power per matrix column required")
+        _check_levels(self.levels)
+        if any(j < 1 for j in self.column_powers):
+            raise ValueError(f"column powers must be >= 1, got {self.column_powers}")
 
     @property
     def n_rows(self) -> int:
-        return len(self.entries)
+        return len(self.levels)
 
     @property
     def n_cols(self) -> int:
@@ -81,12 +96,7 @@ class SpectrumTarget:
             raise ValueError("a spectrum target needs at least one level")
         coerced = tuple((int(lvl), _as_fraction(e)) for lvl, e in self.pairs)
         object.__setattr__(self, "pairs", coerced)
-        levels = [lvl for lvl, _ in coerced]
-        if levels[0] < 0:
-            raise ValueError(f"level indices must be non-negative, got {levels[0]}")
-        for a, b in zip(levels, levels[1:]):
-            if b <= a:
-                raise ValueError(f"levels must be strictly increasing, got {a} then {b}")
+        _check_levels(self.levels)
 
     @classmethod
     def from_energies(cls, energies: Sequence) -> "SpectrumTarget":
@@ -149,30 +159,14 @@ class PolynomialHamiltonian:
 
 
 def build_energy_matrix(levels: Sequence[int], powers: Sequence[int]) -> EnergyMatrix:
-    """Matrix with entry (h_n)^j for each requested level n and power j.
-
-    Args:
-        levels: Oscillator levels labelling the rows, each >= 0.
-        powers: h-powers labelling the columns, each >= 1.
-    """
-    pw = tuple(int(j) for j in powers)
-    if any(j < 1 for j in pw):
-        raise ValueError(f"column powers must be >= 1, got {pw}")
-    rows = []
-    for n in levels:
-        h = oscillator_energy(int(n))
-        rows.append(tuple(h**j for j in pw))
-    return EnergyMatrix(tuple(rows), pw)
+    """Energy matrix for the given row levels and column powers (rules as in EnergyMatrix)."""
+    return EnergyMatrix(tuple(map(int, levels)), tuple(map(int, powers)))
 
 
-def _scaled_integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row; returns integer rows and the row scales."""
-    out, scales = [], []
-    for row in rows:
-        scale = math.lcm(*(entry.denominator for entry in row))
-        out.append([entry.numerator * (scale // entry.denominator) for entry in row])
-        scales.append(scale)
-    return out, scales
+def _integer_rows(matrix: EnergyMatrix) -> list[list[int]]:
+    """The entries times 2^top, top the largest power: (2n + 1)^j 2^(top - j) at (n, j)."""
+    top = max(matrix.column_powers, default=0)
+    return [[(2 * n + 1) ** j << (top - j) for j in matrix.column_powers] for n in matrix.levels]
 
 
 def _forward_eliminate(m: list[list[int]], powers: Sequence[int]) -> int:
@@ -214,17 +208,20 @@ def _forward_eliminate(m: list[list[int]], powers: Sequence[int]) -> int:
 
 
 def determinant(matrix: EnergyMatrix) -> Fraction:
-    """Exact determinant by fraction-free elimination (0 for a singular matrix)."""
+    """Exact determinant by fraction-free elimination (0 for a singular matrix).
+
+    The integer rows are the matrix times 2^top, so their determinant is 2^(n top)
+    times the one returned.
+    """
     n = matrix.n_rows
     if n != matrix.n_cols:
         raise ValueError(f"determinant needs a square matrix, got {n}x{matrix.n_cols}")
-    rows, scales = _scaled_integer_rows(matrix.entries)
+    m = _integer_rows(matrix)
     try:
-        sign = _forward_eliminate(rows, matrix.column_powers)
+        sign = _forward_eliminate(m, matrix.column_powers)
     except SingularMatrixError:
         return Fraction(0)
-    det_scaled = Fraction(sign * rows[n - 1][n - 1])
-    return det_scaled / math.prod(scales)
+    return Fraction(sign * m[n - 1][n - 1], 2 ** (n * max(matrix.column_powers)))
 
 
 def determinant_closed_form(n: int) -> Fraction:
@@ -240,22 +237,15 @@ def determinant_closed_form(n: int) -> Fraction:
 
 
 def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
-    """Solve matrix * x = rhs exactly.
+    """Solve the square system matrix * x = rhs exactly, re-checked against every equation.
 
-    A full energy matrix (powers 1..n, row i equal to (h_i, h_i^2, ..., h_i^n) with
-    distinct nonzero h_i) is solved by interpolation in O(n^2); every other matrix
-    by Bareiss elimination.
-
-    Args:
-        matrix: Square rational matrix.
-        rhs: Right-hand side, one exact rational per row.
-
-    Returns:
-        The unique solution as Fractions, re-checked against every equation.
+    The route follows from the column powers alone: powers exactly 1..n are solved
+    by interpolation at the nodes h_n in O(n^2), any other power list by Bareiss
+    elimination of the integer rows.  `rhs` holds one exact rational per row.
 
     Raises:
-        SingularMatrixError: If the matrix is singular; the message names the
-            h-power of the pivot column where elimination failed.
+        SingularMatrixError: If the matrix is singular, which takes a repeated power;
+            the message names the h-power of the pivot column where elimination failed.
     """
     n = matrix.n_rows
     if n != matrix.n_cols:
@@ -264,54 +254,32 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
     if len(b) != n:
         raise ValueError(f"right-hand side has {len(b)} entries for {n} rows")
 
-    augmented = [tuple(row) + (b[i],) for i, row in enumerate(matrix.entries)]
-    rows, _ = _scaled_integer_rows(augmented)
-    nodes = _vandermonde_nodes(matrix)
-    if nodes is not None:
+    rows = _integer_rows(matrix)
+    top = max(matrix.column_powers, default=0)
+    if matrix.column_powers == tuple(range(1, n + 1)):
         # P(h_i) = h_i Q(h_i) = b_i: Q interpolates b_i / h_i, and a_{j+1} is Q's x^j.
+        nodes = [oscillator_energy(level) for level in matrix.levels]
         x = _interpolate(nodes, [bi / h for bi, h in zip(b, nodes)])
     else:
-        m = [row[:] for row in rows]
+        # The integer rows are the matrix times 2^top, so the augmented column is
+        # 2^top b_i, written as integers over the common denominator of b.
+        b_nums, b_den = _common_denominator(b)
+        m = [row + [c << top] for row, c in zip(rows, b_nums)]
         _forward_eliminate(m, matrix.column_powers)
         x = [Fraction(0)] * n
         for i in range(n - 1, -1, -1):
-            acc = Fraction(m[i][n])
+            acc = Fraction(m[i][n], b_den)
             for j in range(i + 1, n):
                 acc -= m[i][j] * x[j]
             x[i] = acc / m[i][i]
 
-    # Substitute into every scaled integer row, x written as numerators over one
-    # common denominator: sum_j row_j x_j must equal the row's right-hand side.
-    den = math.lcm(*(v.denominator for v in x))
-    nums = [v.numerator * (den // v.denominator) for v in x]
-    for row in rows:
-        if sum(map(operator.mul, row[:n], nums)) != row[n] * den:
+    # Substitute into every integer row, x written as numerators over one common
+    # denominator: sum_j row_j x_j must equal 2^top b_i.
+    nums, den = _common_denominator(x)
+    for row, bi in zip(rows, b):
+        if sum(map(operator.mul, row, nums)) * bi.denominator != (bi.numerator << top) * den:
             raise RuntimeError("internal consistency failure: exact solve residual is nonzero")
     return tuple(x)
-
-
-def _vandermonde_nodes(matrix: EnergyMatrix) -> list[Fraction] | None:
-    """The nodes h_i if row i is (h_i, h_i^2, ..., h_i^n) for powers 1..n, else None.
-
-    The nodes must be distinct and nonzero, so the interpolation problem is regular.
-    """
-    n = matrix.n_cols
-    if matrix.column_powers != tuple(range(1, n + 1)):
-        return None
-    nodes = []
-    for row in matrix.entries:
-        h = row[0]
-        # Fractions are in lowest terms, so h^j has numerator u^j and denominator v^j.
-        u, v = h.numerator, h.denominator
-        num, den = u, v
-        for entry in row[1:]:
-            num, den = num * u, den * v
-            if entry.numerator != num or entry.denominator != den:
-                return None
-        nodes.append(h)
-    if 0 in nodes or len(set(nodes)) != n:
-        return None
-    return nodes
 
 
 def _interpolate(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> list[Fraction]:
@@ -323,14 +291,12 @@ def _interpolate(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> list[
     only the n returned Fractions are reduced.
     """
     n = len(nodes)
-    v = math.lcm(*(h.denominator for h in nodes))
-    u = [h.numerator * (v // h.denominator) for h in nodes]
-    den = math.lcm(*(y.denominator for y in values))
-    c = [y.numerator * (den // y.denominator) for y in values]
+    u, v = _common_denominator(nodes)
+    c, den = _common_denominator(values)
     # Order k: c_i <- (c_i - c_{i-1}) / (x_i - x_{i-k}) = v (c_i - c_{i-1}) / (u_i - u_{i-k});
     # the common denominator grows by the lcm of this order's node gaps.
     for k in range(1, n):
-        grow = math.lcm(*(u[i] - u[i - k] for i in range(k, n)))
+        grow = math.lcm(*[u[i] - u[i - k] for i in range(k, n)])
         for i in range(n - 1, k - 1, -1):
             c[i] = (c[i] - c[i - 1]) * v * (grow // (u[i] - u[i - k]))
         for i in range(k):
@@ -416,8 +382,8 @@ def _check_dialled(ham: PolynomialHamiltonian, target: SpectrumTarget) -> None:
     # Deliberately not Horner: an independent power-sum route for the back-check.
     # With a_p = c_p / D and h = u / v, P(h) = E is checked over the integers as
     # sum_p c_p u^p v^(top - p) = E D v^top.
-    den = math.lcm(*(a.denominator for _, a in ham.terms))
-    scaled = [(p, a.numerator * (den // a.denominator)) for p, a in ham.terms]
+    nums, den = _common_denominator([a for _, a in ham.terms])
+    scaled = [(p, c) for (p, _), c in zip(ham.terms, nums)]
     top = max(p for p, _ in scaled)
     for level, energy in target.pairs:
         h = oscillator_energy(level)

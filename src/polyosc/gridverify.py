@@ -206,10 +206,12 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     norms = np.linalg.norm(eigenvectors, axis=0)
     if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE:
         raise EigensolverError(f"eigenvector norms off unity beyond {NORM_TOLERANCE} for size {k}")
-    scale = np.linalg.norm(operator.entries, np.inf)
+    scale = max(np.linalg.norm(operator.entries, np.inf), 1.0)
     residuals = operator.entries @ eigenvectors - eigenvectors * eigenvalues
-    worst = np.max(np.linalg.norm(residuals, axis=0))
-    if worst > RESIDUAL_TOLERANCE * max(scale, 1.0):
+    # Norms of the residuals over the scale, then scaled back: the squares summed
+    # inside the norm overflow float64 for residuals near 1e155 and above.
+    worst = np.max(np.linalg.norm(residuals / scale, axis=0)) * scale
+    if worst > RESIDUAL_TOLERANCE * scale:
         raise EigensolverError(
             f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOLERANCE:.0e} * ||A|| "
             f"for size {k}"

@@ -6,12 +6,11 @@ exact energies therefore reveals every violation of the usual Sturm-Liouville ru
 that energies increase with node count.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import PolynomialHamiltonian
+from .exactalg import PolynomialHamiltonian, _common_denominator
 from .oscillator import analytic_node_count, oscillator_energy
 
 
@@ -41,6 +40,16 @@ class OrderingReport:
     is_sturm_liouville_ordered: bool
 
 
+def _horner(coeffs: Sequence[int], den: int, point: Fraction) -> Fraction:
+    # Integer Horner, as evaluate_polynomial describes.
+    u, v = point.numerator, point.denominator
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * u + c * scale
+        scale *= v
+    return Fraction(acc * u, den * scale)
+
+
 def evaluate_polynomial(ham: PolynomialHamiltonian, xi: Fraction) -> Fraction:
     """Exact value of P at a rational point, by Horner's scheme.
 
@@ -49,19 +58,11 @@ def evaluate_polynomial(ham: PolynomialHamiltonian, xi: Fraction) -> Fraction:
     xi = u / v and a_j = c_j / D it accumulates sum_j c_j u^(j-1) v^(top-j) and
     builds one Fraction at the end.
     """
-    point = Fraction(xi)
-    u, v = point.numerator, point.denominator
-    dense = ham.dense_coefficients()
-    den = math.lcm(*(a.denominator for a in dense))
-    acc, scale = 0, 1
-    for a in reversed(dense):
-        acc = acc * u + a.numerator * (den // a.denominator) * scale
-        scale *= v
-    return Fraction(acc * u, den * scale)
+    return _horner(*_common_denominator(ham.dense_coefficients()), Fraction(xi))
 
 
 def evaluate_spectrum(ham: PolynomialHamiltonian, count: int) -> tuple[LevelRecord, ...]:
-    """Exact energies P(n + 1/2) for levels n = 0..count-1.
+    """Exact energies P(n + 1/2) for levels n = 0..count-1, one set of integer coefficients.
 
     Args:
         ham: The polynomial Hamiltonian.
@@ -69,9 +70,10 @@ def evaluate_spectrum(ham: PolynomialHamiltonian, count: int) -> tuple[LevelReco
     """
     if count < 1:
         raise ValueError(f"need at least one level, got count={count}")
+    coeffs, den = _common_denominator(ham.dense_coefficients())
     records = []
     for n in range(count):
-        energy = evaluate_polynomial(ham, oscillator_energy(n))
+        energy = _horner(coeffs, den, oscillator_energy(n))
         records.append(LevelRecord(n, energy, analytic_node_count(n)))
     return tuple(records)
 

@@ -338,6 +338,17 @@ def test_verify_refuses_a_spacing_too_small_for_float64(capsys):
     assert err.splitlines()[-1] == "error: grid spacing 2e-203 is too small for float64 differences"
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_residual_norms_near_float64_limit_do_not_overflow(capsys):
+    # The operator's entries reach ~3e305, so its eigenpair residuals reach ~1e290: their
+    # squares overflow float64, yet the eigensolve is accurate and the check must say so.
+    code, out, err = run_cli(capsys, "verify", "--coeffs=1", "--half-width", "1e-150")
+    assert (code, err) == (4, "")
+    warning = next(line for line in out.splitlines() if line.startswith("# warning = "))
+    assert warning.startswith("# warning = estimated grid error 1.48e+290 ")
+    assert out.endswith("# passed = false\n")
+
+
 def test_verify_eigensolver_failure_exits_5(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise EigensolverError("eigensolver failed to converge")

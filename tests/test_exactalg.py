@@ -20,6 +20,11 @@ from polyosc.oscillator import oscillator_energy
 from polyosc.spectrum import evaluate_polynomial
 
 
+def energy_rows(levels, powers):
+    """The energy matrix as Fraction rows, built here from oscillator_energy."""
+    return [[oscillator_energy(n) ** j for j in powers] for n in levels]
+
+
 def cofactor_det(rows):
     """Textbook cofactor expansion along the first row. O(n!) — keep n small."""
     n = len(rows)
@@ -83,16 +88,30 @@ def test_polynomial_hamiltonian_zero_and_sparse():
 def test_energy_matrix_entries():
     matrix = build_energy_matrix(range(3), range(1, 4))
     assert matrix.n_rows == matrix.n_cols == 3
-    assert matrix.entries[0] == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
-    assert matrix.entries[2] == (Fraction(5, 2), Fraction(25, 4), Fraction(125, 8))
+    assert matrix.levels == (0, 1, 2)
     assert matrix.column_powers == (1, 2, 3)
+    # entries (h_n)^j times 2^3: row 0 is (1/2, 1/4, 1/8), row 2 is (5/2, 25/4, 125/8)
+    rows = exactalg._integer_rows(matrix)
+    assert rows[0] == [4, 2, 1]
+    assert rows[2] == [20, 50, 125]
+    # gapped levels and unordered powers: scaled by 2^top for the largest power only
+    rows = exactalg._integer_rows(build_energy_matrix([1, 4], [3, 1]))
+    assert rows == [[27, 12], [729, 36]]
 
 
 def test_energy_matrix_validation():
-    with pytest.raises(ValueError):
-        EnergyMatrix(((Fraction(1),),), column_powers=(1, 2))
-    with pytest.raises(ValueError):
-        build_energy_matrix(range(2), [0, 1])  # powers start at 1
+    with pytest.raises(ValueError, match="non-negative"):
+        build_energy_matrix([-1, 0], [1, 2])
+    with pytest.raises(ValueError, match="strictly increasing, got 1 then 1"):
+        build_energy_matrix([0, 1, 1], [1, 2, 3])
+    with pytest.raises(ValueError, match="strictly increasing, got 2 then 1"):
+        EnergyMatrix(levels=(2, 1), column_powers=(1, 2))
+    with pytest.raises(ValueError, match="column powers must be >= 1"):
+        build_energy_matrix(range(2), [0, 1])
+    with pytest.raises(ValueError, match="column powers must be >= 1"):
+        EnergyMatrix(levels=(0,), column_powers=(-2,))
+    # order and repeats of powers stay allowed; a repeat makes the matrix singular
+    assert build_energy_matrix(range(2), [2, 2]).column_powers == (2, 2)
 
 
 # ------------------------------------------------------------------ determinant
@@ -100,7 +119,7 @@ def test_energy_matrix_validation():
 def test_determinant_against_cofactor_expansion():
     for n in range(1, 7):
         matrix = build_energy_matrix(range(n), range(1, n + 1))
-        rows = [list(r) for r in matrix.entries]
+        rows = energy_rows(range(n), range(1, n + 1))
         assert determinant(matrix) == cofactor_det(rows)
 
 
@@ -126,28 +145,26 @@ def test_determinant_closed_form_matches_elimination_to_n12():
 
 
 def test_determinant_singular_and_nonsquare():
-    row = tuple(Fraction(1, 2) ** j for j in (1, 2))
-    singular = EnergyMatrix((row, row), column_powers=(1, 2))
-    assert determinant(singular) == 0
+    assert determinant(build_energy_matrix(range(2), (2, 2))) == 0
+    assert determinant(build_energy_matrix([1, 3, 4], (1, 3, 1))) == 0
     wide = build_energy_matrix(range(2), range(1, 4))
     with pytest.raises(ValueError):
         determinant(wide)
 
 
-def test_determinant_random_rational_matrices():
-    # Bareiss vs cofactor on arbitrary rational matrices, sign included
+def test_determinant_random_gapped_energy_matrices():
+    # Bareiss vs cofactor on gapped levels and shuffled powers: the shuffles flip the
+    # sign and move the largest pivot, so both pivoting and sign tracking are checked.
     rng = random.Random(99)
-    for _ in range(40):
-        n = rng.randrange(1, 5)
-        rows = [
-            [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(n)]
-            for _ in range(n)
-        ]
-        matrix = EnergyMatrix(
-            tuple(tuple(r) for r in rows),
-            column_powers=tuple(range(1, n + 1)),
-        )
-        assert determinant(matrix) == cofactor_det(rows)
+    signs = set()
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        levels = sorted(rng.sample(range(3 * n), n))
+        powers = rng.sample(range(1, n + 4), n)
+        expected = cofactor_det(energy_rows(levels, powers))
+        assert determinant(build_energy_matrix(levels, powers)) == expected
+        signs.add(expected > 0)
+    assert signs == {True, False}
 
 
 # ----------------------------------------------------------------- exact solve
@@ -159,50 +176,56 @@ def test_solve_linear_exact_known_system():
 
 
 def test_solve_linear_exact_singular_names_column():
-    row = (Fraction(1, 2), Fraction(1, 4))
-    matrix = EnergyMatrix((row, row), column_powers=(1, 2))
-    with pytest.raises(SingularMatrixError, match=r"h\^2"):
-        solve_linear_exact(matrix, (Fraction(1), Fraction(2)))
-    zero = EnergyMatrix(((Fraction(0),),), column_powers=(3,))
+    # a repeated power leaves the second of its columns without a pivot
+    matrix = build_energy_matrix(range(2), (3, 3))
     with pytest.raises(SingularMatrixError) as err:
-        solve_linear_exact(zero, (Fraction(1),))
+        solve_linear_exact(matrix, (Fraction(1), Fraction(2)))
     assert str(err.value) == "matrix is singular: no pivot available in the h^3 column"
-    # a zero node is not interpolation: it goes to elimination, which names the column
-    zero_node = EnergyMatrix(((Fraction(0), Fraction(0)), row), column_powers=(1, 2))
-    with pytest.raises(SingularMatrixError, match=r"h\^2"):
-        solve_linear_exact(zero_node, (Fraction(1), Fraction(2)))
+    matrix = build_energy_matrix([0, 2, 5], (1, 2, 1))
+    with pytest.raises(SingularMatrixError, match=r"h\^1 column"):
+        solve_linear_exact(matrix, (Fraction(1), Fraction(2), Fraction(3)))
 
 
-def test_interpolation_and_elimination_agree_on_gapped_levels():
-    # Powers 1..n are solved by interpolation; listing them as n..1 is not recognised
-    # as an energy matrix, so the same system goes through Bareiss elimination.
+def counting_eliminations(monkeypatch):
+    calls = []
+    forward = exactalg._forward_eliminate
+
+    def counted(m, powers):
+        calls.append(len(powers))
+        return forward(m, powers)
+
+    monkeypatch.setattr(exactalg, "_forward_eliminate", counted)
+    return calls
+
+
+def test_interpolation_and_elimination_agree_on_gapped_levels(monkeypatch):
+    # Powers 1..n are solved by interpolation; listing them as n..1 sends the same
+    # system through Bareiss elimination.
+    calls = counting_eliminations(monkeypatch)
     rng = random.Random(20240)
     for _ in range(30):
         n = rng.randrange(2, 17)
         levels = sorted(rng.sample(range(n + rng.randrange(0, 2 * n)), n))
         rhs = [Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)) for _ in range(n)]
-        ascending = build_energy_matrix(levels, range(1, n + 1))
-        descending = build_energy_matrix(levels, range(n, 0, -1))
-        assert exactalg._vandermonde_nodes(ascending) is not None
-        assert exactalg._vandermonde_nodes(descending) is None
-        assert solve_linear_exact(ascending, rhs) == solve_linear_exact(descending, rhs)[::-1]
+        ascending = solve_linear_exact(build_energy_matrix(levels, range(1, n + 1)), rhs)
+        assert calls == []
+        descending = solve_linear_exact(build_energy_matrix(levels, range(n, 0, -1)), rhs)
+        assert calls == [n]
+        calls.clear()
+        assert ascending == descending[::-1]
 
 
-def test_solve_linear_exact_random_rational_rows_with_energy_powers():
-    # column powers 1..n but arbitrary entries: solved by elimination, checked here
+def test_solve_linear_exact_random_dropped_power_systems():
+    # dropped and shuffled powers over gapped levels: solved by elimination, checked
+    # here by Fraction substitution into the energy rows
     rng = random.Random(4711)
     for _ in range(40):
-        n = rng.randrange(1, 7)
-        rows = tuple(
-            tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(n))
-            for _ in range(n)
-        )
-        matrix = EnergyMatrix(rows, column_powers=tuple(range(1, n + 1)))
-        if determinant(matrix) == 0:
-            continue
+        n = rng.randrange(1, 8)
+        levels = sorted(rng.sample(range(2 * n + 2), n))
+        powers = rng.sample(range(1, n + 4), n)
         rhs = [Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)) for _ in range(n)]
-        x = solve_linear_exact(matrix, rhs)
-        for row, b in zip(rows, rhs):
+        x = solve_linear_exact(build_energy_matrix(levels, powers), rhs)
+        for row, b in zip(energy_rows(levels, powers), rhs):
             assert sum((a * xj for a, xj in zip(row, x)), start=Fraction(0)) == b
 
 
@@ -218,6 +241,20 @@ def test_solve_linear_exact_residual_check_catches_a_wrong_interpolant(monkeypat
     matrix = build_energy_matrix(range(4), range(1, 5))
     with pytest.raises(RuntimeError, match="exact solve residual is nonzero"):
         solve_linear_exact(matrix, (Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
+
+
+def test_solve_linear_exact_residual_check_catches_a_wrong_elimination(monkeypatch):
+    forward = exactalg._forward_eliminate
+
+    def off_by_one(m, powers):
+        sign = forward(m, powers)
+        m[-1][-1] += 1  # the last row's right-hand side, after elimination
+        return sign
+
+    monkeypatch.setattr(exactalg, "_forward_eliminate", off_by_one)
+    matrix = build_energy_matrix([0, 2, 3], (1, 2, 4))
+    with pytest.raises(RuntimeError, match="exact solve residual is nonzero"):
+        solve_linear_exact(matrix, (Fraction(1), Fraction(2), Fraction(3)))
 
 
 def test_solve_linear_exact_rhs_length():

@@ -175,6 +175,25 @@ def test_diagonalize_wraps_lapack_failure(monkeypatch):
         diagonalize(op, 3)
 
 
+@pytest.mark.parametrize("half_width", [2.0, 1e-150])
+def test_diagonalize_rejects_a_perturbed_eigenvector(monkeypatch, half_width):
+    # A unit vector rotated 1e-3 off its eigenvector has a residual ~1e-3 ||A||; the
+    # check must see it at any scale, also where ||A|| is ~2e303 and its square overflows.
+    op = build_oscillator_grid(GridSpec(half_width=half_width, points=51))
+    eigh = scipy.linalg.eigh
+
+    def rotated(*args, **kwargs):
+        values, vectors = eigh(*args, **kwargs)
+        vectors = vectors.copy()
+        t = 1e-3
+        vectors[:, 0] = math.cos(t) * vectors[:, 0] + math.sin(t) * vectors[:, 1]
+        return values, vectors
+
+    monkeypatch.setattr(scipy.linalg, "eigh", rotated)
+    with pytest.raises(EigensolverError, match="eigenpair residual"):
+        diagonalize(op, 3)
+
+
 # ----------------------------------------------------------------- node count
 
 def test_count_nodes_basic():

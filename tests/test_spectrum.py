@@ -60,6 +60,24 @@ def test_evaluate_spectrum_nine_levels():
     assert all(rec.level == i for i, rec in enumerate(records))
 
 
+def test_evaluate_spectrum_matches_per_level_evaluation_randomized():
+    # shared integer coefficients vs per-level Horner vs a Fraction power sum
+    rng = random.Random(5150)
+    hams = [PolynomialHamiltonian(()), PolynomialHamiltonian.from_dense([Fraction(0)] * 3)]
+    for _ in range(30):
+        powers = sorted(rng.sample(range(1, 12), rng.randrange(1, 6)))  # sparse
+        hams.append(PolynomialHamiltonian(tuple(
+            (p, Fraction(rng.randrange(-99, 100), rng.randrange(1, 60))) for p in powers
+        )))
+    for ham in hams:
+        records = evaluate_spectrum(ham, 25)
+        assert [r.level for r in records] == list(range(25))
+        for n, record in enumerate(records):
+            h = Fraction(2 * n + 1, 2)
+            assert record.energy == evaluate_polynomial(ham, h)
+            assert record.energy == sum((a * h**p for p, a in ham.terms), start=Fraction(0))
+
+
 def test_evaluate_spectrum_count_validation():
     with pytest.raises(ValueError):
         evaluate_spectrum(QUADRATIC, 0)

@@ -7,6 +7,8 @@ for identical invocations.
 
 Exit codes: 0 success, 2 malformed or out-of-range input, 3 singular stripped
 system, 4 verification failure, 5 eigensolver non-convergence, 6 unwritable output path.
+
+Only `verify` and `figure` import the grid module, and with it numpy and scipy.
 """
 
 import argparse
@@ -16,6 +18,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import EigensolverError
 from .exactalg import (
     PolynomialHamiltonian,
     SingularMatrixError,
@@ -25,7 +28,6 @@ from .exactalg import (
     determinant_closed_form,
     dial_partial,
 )
-from .gridverify import EigensolverError, GridSpec, verify_dialled
 from .oscillator import eigenfunction_samples, oscillator_energy
 from .spectrum import (
     LevelRecord,
@@ -255,6 +257,8 @@ def _verify_csv(body: dict) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .gridverify import GridSpec, verify_dialled
+
     ham = _parse_coeffs(args.coeffs)
     spec = GridSpec(half_width=args.half_width, points=args.grid_points)
     report = verify_dialled(ham, spec, levels_to_check=args.levels)
@@ -367,6 +371,8 @@ def _svg_figure(xs, cross, records, curves, scale, half_width) -> str:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from .gridverify import GridSpec
+
     ham = _parse_coeffs(args.coeffs)
     count = _default_levels(args.levels, len(ham.terms))
     records = evaluate_spectrum(ham, count)

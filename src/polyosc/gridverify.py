@@ -22,6 +22,7 @@ import numpy as np
 import numpy.typing as npt
 import scipy.linalg
 
+from . import EigensolverError
 from .exactalg import PolynomialHamiltonian
 from .oscillator import oscillator_energy
 from .spectrum import evaluate_polynomial, evaluate_spectrum, ordering_report
@@ -34,10 +35,6 @@ DEGENERACY_FACTOR = 10.0
 # copies would not fit in the byte budget are refused before anything is allocated.
 GRID_BYTE_BUDGET = 2 * 2**30
 MAX_GRID_POINTS = math.isqrt(GRID_BYTE_BUDGET // (6 * 8))
-
-
-class EigensolverError(RuntimeError):
-    """Raised when the dense symmetric eigensolver fails or returns junk."""
 
 
 @dataclass(frozen=True)
@@ -148,33 +145,29 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
     if not (scale > 0.0 and math.isfinite(1.0 / scale)):
         raise ValueError(f"grid spacing {dx!r} is too small for float64 differences")
     c = 1.0 / scale
-    k = spec.points
-    entries = (
-        np.diag(30.0 * c + 0.5 * x * x)
-        + np.diag(np.full(k - 1, -16.0 * c), 1)
-        + np.diag(np.full(k - 1, -16.0 * c), -1)
-        + np.diag(np.full(k - 2, c), 2)
-        + np.diag(np.full(k - 2, c), -2)
-    )
+    entries = np.diag(30.0 * c + 0.5 * x * x)
+    for offset, value in ((1, -16.0 * c), (2, c)):
+        rows = np.arange(spec.points - offset)
+        entries[rows, rows + offset] = entries[rows + offset, rows] = value
     return GridOperator(spec, entries)
 
 
 def matrix_polynomial(operator: GridOperator, ham: PolynomialHamiltonian) -> GridOperator:
     """Dense P(A) by Horner steps, symmetrized against roundoff drift.
 
-    The zero-constant-term convention means the Horner chain ends with one final
-    multiplication by A, so the zero polynomial maps to the zero matrix.
+    The zero-constant-term convention means the Horner chain starts from a_d A and
+    ends with one final multiplication by A, so the zero polynomial maps to the zero
+    matrix.  Each lower coefficient is added to the diagonal in place: no identity
+    matrix is built or multiplied.
     """
     a = operator.entries
-    k = operator.spec.points
     dense = [float(c) for c in ham.dense_coefficients()]
     if not dense:
-        return GridOperator(operator.spec, np.zeros((k, k)))
-    eye = np.eye(k)
-    result = dense[-1] * eye
+        return GridOperator(operator.spec, np.zeros_like(a))
+    result = dense[-1] * a
     for coeff in reversed(dense[:-1]):
-        result = result @ a + coeff * eye
-    result = result @ a
+        result[np.diag_indices_from(result)] += coeff
+        result = result @ a
     return GridOperator(operator.spec, 0.5 * (result + result.T))
 
 
@@ -206,14 +199,19 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     norms = np.linalg.norm(eigenvectors, axis=0)
     if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE:
         raise EigensolverError(f"eigenvector norms off unity beyond {NORM_TOLERANCE} for size {k}")
-    scale = max(np.linalg.norm(operator.entries, np.inf), 1.0)
+    # Residuals and the bound 1e-8 max(||A||inf, 1) are compared in units of the
+    # largest entry (at least 1), which is finite wherever the entries are: ||A||inf
+    # itself overflows for entries near 1e307, and the squares summed inside a
+    # residual norm overflow for residuals near 1e155.
+    magnitudes = np.abs(operator.entries)
+    unit = max(float(magnitudes.max()), 1.0)
+    magnitudes /= unit
+    bound = RESIDUAL_TOLERANCE * max(float(magnitudes.sum(axis=1).max()), 1.0 / unit)
     residuals = operator.entries @ eigenvectors - eigenvectors * eigenvalues
-    # Norms of the residuals over the scale, then scaled back: the squares summed
-    # inside the norm overflow float64 for residuals near 1e155 and above.
-    worst = np.max(np.linalg.norm(residuals / scale, axis=0)) * scale
-    if worst > RESIDUAL_TOLERANCE * scale:
+    worst = float(np.max(np.linalg.norm(residuals / unit, axis=0)))
+    if worst > bound:
         raise EigensolverError(
-            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOLERANCE:.0e} * ||A|| "
+            f"eigenpair residual {worst * unit:.3e} exceeds {RESIDUAL_TOLERANCE:.0e} * ||A|| "
             f"for size {k}"
         )
     return GridEigenSolution(operator.spec, eigenvalues, eigenvectors)

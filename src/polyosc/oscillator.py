@@ -6,11 +6,15 @@ phi_n(x) = eta_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)) for the physicists' Herm
 polynomials eta_n.
 """
 
+from __future__ import annotations
+
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-import numpy.typing as npt
+if TYPE_CHECKING:  # numpy loads only when eigenfunctions are sampled
+    import numpy as np
+    import numpy.typing as npt
 
 
 def oscillator_energy(n: int) -> Fraction:
@@ -44,6 +48,8 @@ def eigenfunction_samples(n: int, x: npt.NDArray[np.float64]) -> npt.NDArray[np.
     Returns:
         Array of phi_n values with the same shape as x.
     """
+    import numpy as np
+
     if n < 0:
         raise ValueError(f"level index must be non-negative, got {n}")
     xs = np.asarray(x, dtype=np.float64)

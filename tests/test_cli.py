@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import polyosc.cli as cli
+from polyosc import gridverify
 from polyosc.exactalg import SingularMatrixError
 from polyosc.gridverify import EigensolverError
 
@@ -349,11 +350,37 @@ def test_verify_residual_norms_near_float64_limit_do_not_overflow(capsys):
     assert out.endswith("# passed = false\n")
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_validates_eigenpairs_when_the_operator_norm_overflows(capsys):
+    # The largest entry is ~8.8e307 and the row sums of ||A||inf overflow; the
+    # eigenpairs still pass a finite residual check, and the grid eigenvalues near
+    # 1e305 then fail against the exact 1/2, 3/2, 5/2.
+    code, out, err = run_cli(capsys, "verify", "--coeffs=1", "--half-width",
+                             "2.9853826189179203e-153", "--grid-points", "51", "--levels", "3")
+    assert (code, err) == (4, "")
+    rows = [line.split(",") for line in out.splitlines()[1:4]]
+    assert [row[2:6] + row[8:] for row in rows] == [
+        ["0", "0", "1/2", "0.5", "false"],
+        ["1", "1", "3/2", "1.5", "false"],
+        ["2", "2", "5/2", "2.5", "false"],
+    ]
+    assert out.splitlines()[4:] == [
+        "# expected_sequence = 0,1,2",
+        "# node_sequence = 0,1,2",
+        "# sequence_matches = true",
+        "# degenerate = false",
+        "# tolerance = 0.001",
+        "# warning = estimated grid error inf (discretization 0.00e+00, roundoff inf) "
+        "exceeds tolerance 1e-03; raise the grid resolution or the tolerance",
+        "# passed = false",
+    ]
+
+
 def test_verify_eigensolver_failure_exits_5(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise EigensolverError("eigensolver failed to converge")
 
-    monkeypatch.setattr(cli, "verify_dialled", boom)
+    monkeypatch.setattr(gridverify, "verify_dialled", boom)
     code, _, err = run_cli(capsys, "verify", "--coeffs=1")
     assert code == 5
     assert "converge" in err

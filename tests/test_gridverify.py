@@ -66,6 +66,19 @@ def test_oscillator_grid_diagonal_entries():
     assert op.entries[500, 503] == 0.0
 
 
+@pytest.mark.parametrize("points", [3, 4, 5, 11, 51, 401])
+def test_oscillator_grid_equals_its_banded_sum(points):
+    # reference: the operator as the sum of its five diagonals
+    spec = GridSpec(half_width=10.0, points=points)
+    dx, x = spec.spacing, spec.positions()
+    c = 1.0 / (24.0 * dx * dx)
+    expected = np.diag(30.0 * c + 0.5 * x * x)
+    for offset, value in ((1, -16.0 * c), (2, c)):
+        band = np.full(points - offset, value)
+        expected = expected + np.diag(band, offset) + np.diag(band, -offset)
+    assert np.array_equal(build_oscillator_grid(spec).entries, expected)
+
+
 def test_oscillator_grid_is_exactly_symmetric():
     op = build_oscillator_grid(GridSpec(half_width=6.0, points=301))
     assert np.array_equal(op.entries, op.entries.T)
@@ -97,6 +110,24 @@ def test_matrix_polynomial_zero():
     op = build_oscillator_grid(GridSpec(half_width=4.0, points=51))
     zero = PolynomialHamiltonian.from_dense([Fraction(0)])
     assert np.array_equal(matrix_polynomial(op, zero).entries, np.zeros((51, 51)))
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_matrix_polynomial_equals_identity_matrix_horner(degree):
+    # reference: Horner from a_d I with a_j I added after each product
+    op = build_oscillator_grid(GridSpec(half_width=6.0, points=101))
+    coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
+    ham = PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)])
+    a, eye = op.entries, np.eye(101)
+    expected = np.zeros_like(a)
+    if coeffs:
+        dense = [float(c) for c in coeffs]
+        expected = dense[-1] * eye
+        for coeff in reversed(dense[:-1]):
+            expected = expected @ a + coeff * eye
+        expected = expected @ a
+        expected = 0.5 * (expected + expected.T)
+    assert np.array_equal(matrix_polynomial(op, ham).entries, expected)
 
 
 def test_matrix_polynomial_trace_identity():
@@ -175,10 +206,11 @@ def test_diagonalize_wraps_lapack_failure(monkeypatch):
         diagonalize(op, 3)
 
 
-@pytest.mark.parametrize("half_width", [2.0, 1e-150])
+@pytest.mark.parametrize("half_width", [2.0, 1e-150, 2.9853826189179203e-153])
 def test_diagonalize_rejects_a_perturbed_eigenvector(monkeypatch, half_width):
     # A unit vector rotated 1e-3 off its eigenvector has a residual ~1e-3 ||A||; the
-    # check must see it at any scale, also where ||A|| is ~2e303 and its square overflows.
+    # check must see it at any scale, also where ||A|| is ~2e303 and its square
+    # overflows, and where ||A||inf itself overflows while every entry is finite.
     op = build_oscillator_grid(GridSpec(half_width=half_width, points=51))
     eigh = scipy.linalg.eigh
 

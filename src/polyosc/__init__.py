@@ -31,7 +31,7 @@ __all__ = [*_HOME, "__version__"]
 
 
 class EigensolverError(RuntimeError):
-    """Raised when the dense symmetric eigensolver fails or returns junk.
+    """Raised when the symmetric band eigensolver fails or returns junk.
 
     Defined here rather than in gridverify so that the CLI can map it to its exit
     code without importing numpy; gridverify re-exports it.

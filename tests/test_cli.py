@@ -376,6 +376,33 @@ def test_verify_validates_eigenpairs_when_the_operator_norm_overflows(capsys):
     ]
 
 
+def test_verify_zero_polynomial_survives_singular_shifts(capsys):
+    # P(A) is the zero matrix: every shifted band is exactly singular, and any
+    # orthonormal set is an eigenbasis
+    code, out, err = run_cli(capsys, "verify", "--coeffs=0", "--grid-points", "51",
+                             "--levels", "51")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1 + 51 + 7
+    assert "# degenerate = true" in lines
+    assert lines[-1] == "# passed = true"
+
+
+def test_verify_unbounded_below_wall_pairs_are_resolved(capsys):
+    # P = -h: the lowest grid modes are wall modes in left/right pairs whose
+    # eigenvalues coincide; the second of each pair must come out orthogonal to the
+    # first, or diagonalize would raise and exit 5
+    code, out, err = run_cli(capsys, "verify", "--coeffs=-1", "--grid-points", "401",
+                             "--format", "json")
+    assert (code, err) == (4, "")
+    body = json.loads(out)
+    assert body["warning"].startswith("P is unbounded below (leading coefficient -1 < 0)")
+    levels = body["levels"]
+    assert levels[0]["grid_eigenvalue"] == pytest.approx(levels[1]["grid_eigenvalue"],
+                                                         rel=1e-14, abs=0)
+    assert not any(level["within_tolerance"] for level in levels)
+
+
 def test_verify_eigensolver_failure_exits_5(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise EigensolverError("eigensolver failed to converge")

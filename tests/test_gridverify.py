@@ -25,6 +25,16 @@ IDENTITY = PolynomialHamiltonian.from_dense([Fraction(1)])
 EPS = np.finfo(np.float64).eps
 
 
+def dense(op):
+    """The full k x k matrix of a grid operator, rebuilt from its lower band."""
+    band = op.band
+    k = band.shape[1]
+    matrix = np.diag(band[0])
+    for d in range(1, band.shape[0]):
+        matrix += np.diag(band[d, : k - d], -d) + np.diag(band[d, : k - d], d)
+    return matrix
+
+
 # -------------------------------------------------------------------- GridSpec
 
 def test_grid_spec_geometry():
@@ -45,25 +55,27 @@ def test_grid_spec_validation():
         GridSpec(half_width=math.inf, points=11)
 
 
-def test_grid_size_limit_fits_the_byte_budget():
-    # arithmetic only: a grid near the limit is never built here
-    k = gridverify.MAX_GRID_POINTS
-    assert 6 * 8 * k * k <= gridverify.GRID_BYTE_BUDGET < 6 * 8 * (k + 1) ** 2
-    assert k == 6688  # six float64 copies in 2 GiB
+def test_grid_size_limit_is_pinned():
+    # the limit bounds band-reduction time, O(k^2 w); building the operator at the
+    # limit allocates only its three diagonals
+    assert gridverify.MAX_GRID_POINTS == 6688
+    assert build_oscillator_grid(GridSpec(half_width=10.0, points=6688)).band.shape == (3, 6688)
+    with pytest.raises(ValueError, match="exceed the dense limit of 6688"):
+        build_oscillator_grid(GridSpec(half_width=10.0, points=6689))
 
 
 # -------------------------------------------------------------- grid operator
 
 def test_oscillator_grid_diagonal_entries():
     spec = GridSpec(half_width=10.0, points=1001)
-    op = build_oscillator_grid(spec)
+    op = dense(build_oscillator_grid(spec))
     dx = spec.spacing
     # kinetic center of the five-point stencil plus the potential x^2/2
-    assert op.entries[500, 500] == pytest.approx(1.25 / dx**2, rel=1e-15)  # x = 0
-    assert op.entries[0, 0] == pytest.approx(1.25 / dx**2 + 50.0, rel=1e-15)  # x = -10
-    assert op.entries[500, 501] == pytest.approx(-16.0 / (24.0 * dx**2), rel=1e-15)
-    assert op.entries[500, 502] == pytest.approx(1.0 / (24.0 * dx**2), rel=1e-15)
-    assert op.entries[500, 503] == 0.0
+    assert op[500, 500] == pytest.approx(1.25 / dx**2, rel=1e-15)  # x = 0
+    assert op[0, 0] == pytest.approx(1.25 / dx**2 + 50.0, rel=1e-15)  # x = -10
+    assert op[500, 501] == pytest.approx(-16.0 / (24.0 * dx**2), rel=1e-15)
+    assert op[500, 502] == pytest.approx(1.0 / (24.0 * dx**2), rel=1e-15)
+    assert op[500, 503] == 0.0
 
 
 @pytest.mark.parametrize("points", [3, 4, 5, 11, 51, 401])
@@ -76,19 +88,24 @@ def test_oscillator_grid_equals_its_banded_sum(points):
     for offset, value in ((1, -16.0 * c), (2, c)):
         band = np.full(points - offset, value)
         expected = expected + np.diag(band, offset) + np.diag(band, -offset)
-    assert np.array_equal(build_oscillator_grid(spec).entries, expected)
+    assert np.array_equal(dense(build_oscillator_grid(spec)), expected)
 
 
 def test_oscillator_grid_is_exactly_symmetric():
-    op = build_oscillator_grid(GridSpec(half_width=6.0, points=301))
-    assert np.array_equal(op.entries, op.entries.T)
+    op = dense(build_oscillator_grid(GridSpec(half_width=6.0, points=301)))
+    assert np.array_equal(op, op.T)
 
 
 def test_grid_operator_rejects_asymmetry():
+    # The operator holds only its lower band, so the one way to state an entry with
+    # no mirror image is a value outside the matrix: this array read as a band puts
+    # a 1 at (4, 2).  A band of the wrong shape is refused too.
     spec = GridSpec(half_width=1.0, points=3)
     bad = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the matrix"):
         GridOperator(spec, bad)
+    with pytest.raises(ValueError, match="band shape"):
+        GridOperator(spec, np.ones((4, 3)))
 
 
 def test_grid_eigenvalues_match_oscillator_ladder():
@@ -103,40 +120,57 @@ def test_grid_eigenvalues_match_oscillator_ladder():
 def test_matrix_polynomial_identity_returns_operator():
     op = build_oscillator_grid(GridSpec(half_width=4.0, points=101))
     poly = matrix_polynomial(op, IDENTITY)
-    assert np.array_equal(poly.entries, op.entries)
+    assert np.array_equal(dense(poly), dense(op))
 
 
 def test_matrix_polynomial_zero():
     op = build_oscillator_grid(GridSpec(half_width=4.0, points=51))
     zero = PolynomialHamiltonian.from_dense([Fraction(0)])
-    assert np.array_equal(matrix_polynomial(op, zero).entries, np.zeros((51, 51)))
+    assert np.array_equal(dense(matrix_polynomial(op, zero)), np.zeros((51, 51)))
+
+
+def _exact_product(x, y):
+    k = len(x)
+    return [[sum(x[i][m] * y[m][j] for m in range(k) if x[i][m] and y[m][j]) for j in range(k)]
+            for i in range(k)]
 
 
 @pytest.mark.parametrize("degree", range(6))
 def test_matrix_polynomial_equals_identity_matrix_horner(degree):
-    # reference: Horner from a_d I with a_j I added after each product
-    op = build_oscillator_grid(GridSpec(half_width=6.0, points=101))
+    # Reference: P(A) = sum_j a_j A^j in exact rationals, from the float64 entries of
+    # A and the float64 coefficients the band route uses.  The route rounds once per
+    # diagonal addition and sums at most 5 products per entry in each Horner step,
+    # so by the standard Horner induction (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2002, ch. 5) every entry lies within
+    # gamma_{6d} sum_j |a_j| (|A|^j) of the exact value, gamma_n = n u / (1 - n u).
+    op = build_oscillator_grid(GridSpec(half_width=6.0, points=21))
     coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
     ham = PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)])
-    a, eye = op.entries, np.eye(101)
-    expected = np.zeros_like(a)
-    if coeffs:
-        dense = [float(c) for c in coeffs]
-        expected = dense[-1] * eye
-        for coeff in reversed(dense[:-1]):
-            expected = expected @ a + coeff * eye
-        expected = expected @ a
-        expected = 0.5 * (expected + expected.T)
-    assert np.array_equal(matrix_polynomial(op, ham).entries, expected)
+    got = dense(matrix_polynomial(op, ham))
+    a = [[Fraction(v) for v in row] for row in dense(op)]
+    a_abs = [[abs(v) for v in row] for row in a]
+    k = len(a)
+    exact = [[Fraction(0)] * k for _ in range(k)]
+    bound = [[Fraction(0)] * k for _ in range(k)]
+    power, power_abs = a, a_abs
+    for c in (Fraction(float(c)) for c in coeffs):
+        exact = [[e + c * p for e, p in zip(er, pr)] for er, pr in zip(exact, power)]
+        bound = [[b + abs(c) * p for b, p in zip(br, pr)] for br, pr in zip(bound, power_abs)]
+        power, power_abs = _exact_product(power, a), _exact_product(power_abs, a_abs)
+    n_u = Fraction(6 * degree, 2**53)
+    gamma = n_u / (1 - n_u)
+    for i in range(k):
+        for j in range(k):
+            assert abs(Fraction(got[i, j]) - exact[i][j]) <= gamma * bound[i][j], (i, j)
 
 
 def test_matrix_polynomial_trace_identity():
     # tr P(A) must equal sum of P over the eigenvalues of A
     op = build_oscillator_grid(GridSpec(half_width=5.0, points=201))
     poly = matrix_polynomial(op, QUADRATIC)
-    lam = scipy.linalg.eigvalsh(op.entries)
+    lam = scipy.linalg.eigvalsh(dense(op))
     expected = np.sum(lam**2 - 6.5 * lam)
-    assert np.trace(poly.entries) == pytest.approx(expected, rel=1e-12)
+    assert np.trace(dense(poly)) == pytest.approx(expected, rel=1e-12)
 
 
 def _mapping_check(ham, tail_scale):
@@ -147,8 +181,8 @@ def _mapping_check(ham, tail_scale):
     """
     op = build_oscillator_grid(GridSpec(half_width=10.0, points=1001))
     poly = matrix_polynomial(op, ham)
-    lam_a = scipy.linalg.eigvalsh(op.entries)
-    lam_b = scipy.linalg.eigvalsh(poly.entries)
+    lam_a = scipy.linalg.eigvalsh(dense(op))
+    lam_b = scipy.linalg.eigvalsh(dense(poly))
     coeffs = [float(c) for c in ham.dense_coefficients()]
     mapped = np.zeros_like(lam_a)
     for c in reversed(coeffs):
@@ -183,8 +217,8 @@ def test_diagonalize_orders_and_normalizes():
     for k in range(6):
         vec = sol.eigenvectors[:, k]
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-        residual = op.entries @ vec - sol.eigenvalues[k] * vec
-        assert np.linalg.norm(residual, np.inf) <= 1e-8 * np.linalg.norm(op.entries, np.inf)
+        residual = dense(op) @ vec - sol.eigenvalues[k] * vec
+        assert np.linalg.norm(residual, np.inf) <= 1e-8 * np.linalg.norm(dense(op), np.inf)
 
 
 def test_diagonalize_count_validation():
@@ -201,29 +235,81 @@ def test_diagonalize_wraps_lapack_failure(monkeypatch):
     def boom(*args, **kwargs):
         raise scipy.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "eigh", boom)
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", boom)
     with pytest.raises(EigensolverError, match="converge"):
         diagonalize(op, 3)
 
 
 @pytest.mark.parametrize("half_width", [2.0, 1e-150, 2.9853826189179203e-153])
 def test_diagonalize_rejects_a_perturbed_eigenvector(monkeypatch, half_width):
-    # A unit vector rotated 1e-3 off its eigenvector has a residual ~1e-3 ||A||; the
-    # check must see it at any scale, also where ||A|| is ~2e303 and its square
-    # overflows, and where ||A||inf itself overflows while every entry is finite.
+    # Eigenvectors 0 and 1 rotated 1e-3 within their plane stay orthonormal but have
+    # residuals ~1e-3 (lambda_1 - lambda_0); the check must see them at any scale,
+    # also where ||A|| is ~2e303 and its square overflows, and where ||A||inf itself
+    # overflows while every entry is finite.
     op = build_oscillator_grid(GridSpec(half_width=half_width, points=51))
-    eigh = scipy.linalg.eigh
+    inverse_iteration = gridverify._inverse_iteration
 
     def rotated(*args, **kwargs):
-        values, vectors = eigh(*args, **kwargs)
-        vectors = vectors.copy()
-        t = 1e-3
-        vectors[:, 0] = math.cos(t) * vectors[:, 0] + math.sin(t) * vectors[:, 1]
-        return values, vectors
+        vectors = inverse_iteration(*args, **kwargs)
+        c, s = math.cos(1e-3), math.sin(1e-3)
+        v0, v1 = vectors[:, 0].copy(), vectors[:, 1].copy()
+        vectors[:, 0], vectors[:, 1] = c * v0 + s * v1, c * v1 - s * v0
+        return vectors
 
-    monkeypatch.setattr(scipy.linalg, "eigh", rotated)
+    monkeypatch.setattr(gridverify, "_inverse_iteration", rotated)
     with pytest.raises(EigensolverError, match="eigenpair residual"):
         diagonalize(op, 3)
+
+
+def test_diagonalize_scales_without_rounding(monkeypatch):
+    # the band handed to LAPACK is P(A) divided by a power of two, exactly: scaling
+    # by the largest entry itself would add a rounding to every entry
+    op = build_oscillator_grid(GridSpec(half_width=6.0, points=51))
+    poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense([Fraction(1, 3)] * 3))
+    eigvals_banded = scipy.linalg.eigvals_banded
+    seen = []
+
+    def spy(band, *args, **kwargs):
+        seen.append(band.copy())
+        return eigvals_banded(band, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy)
+    diagonalize(poly, 3)
+    (scaled,) = seen
+    ratio = np.abs(poly.band).max() / np.abs(scaled).max()
+    assert math.frexp(ratio)[0] == 0.5  # a power of two
+    assert np.array_equal(scaled * ratio, poly.band)
+
+
+def test_diagonalize_rejects_a_repeated_eigenvector(monkeypatch):
+    # unit norms and small residuals, but not an orthonormal set
+    op = build_oscillator_grid(GridSpec(half_width=4.0, points=51))
+    inverse_iteration = gridverify._inverse_iteration
+
+    def repeated(*args, **kwargs):
+        vectors = inverse_iteration(*args, **kwargs)
+        vectors[:, 1] = vectors[:, 0]
+        return vectors
+
+    monkeypatch.setattr(gridverify, "_inverse_iteration", repeated)
+    with pytest.raises(EigensolverError, match="orthonormal"):
+        diagonalize(op, 3)
+
+
+@pytest.mark.parametrize("points", [51, 201, 401])
+@pytest.mark.parametrize("degree", range(6))
+def test_diagonalize_agrees_with_dense_eigh(degree, points):
+    # control: the dense symmetric eigensolver on the rebuilt matrix; degrees 1 and 2
+    # have a negative leading coefficient, so their lowest modes are the exactly
+    # degenerate wall pairs
+    op = build_oscillator_grid(GridSpec(half_width=6.0, points=points))
+    coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
+    poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)]))
+    matrix = dense(poly)
+    expected = scipy.linalg.eigh(matrix, eigvals_only=True, subset_by_index=[0, 8])
+    got = diagonalize(poly, 9).eigenvalues
+    norm = np.linalg.norm(matrix, np.inf)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * norm
 
 
 # ----------------------------------------------------------------- node count
@@ -322,6 +408,21 @@ def test_verify_zero_polynomial_trivially_degenerate():
     assert report.passed
     for check in report.checks:
         assert check.analytic_energy == 0
+
+
+def test_verify_unbounded_below_fails_with_its_reason():
+    # leading coefficient -17/8190: on 401 points the grid's spectrum stops before P
+    # turns down, so its lowest modes do match levels 0..8, but those are not the
+    # lowest levels of P and the report must not pass
+    energies = [Fraction(41, 13), Fraction(-37, 6), Fraction(-11), Fraction(19)]
+    ham = dial(SpectrumTarget.from_energies(energies))
+    report = verify_dialled(ham, GridSpec(half_width=10.0, points=401))
+    assert all(c.within_tolerance for c in report.checks) and report.sequence_matches
+    assert not report.passed
+    assert report.warning.startswith(
+        "P is unbounded below (leading coefficient -17/8190 < 0), so levels 0..8 "
+        "are not its lowest; estimated grid error "
+    )
 
 
 def test_verify_coarse_grid_fails_without_raising():

@@ -1,12 +1,14 @@
 """Independent grid cross-check of dialled spectra and node ordering.
 
 The oscillator is discretized by central finite differences on a uniform grid with
-hard walls and held as a symmetric band matrix; the polynomial is applied to it by
-banded Horner steps, and the lowest eigenpairs are compared against the exact
-analytic spectrum.  The eigenvalues come from LAPACK's band reduction without
-eigenvectors, and each eigenvector from inverse iteration on one banded LU, so
-nothing of size k x k is formed.  Because the route runs through an eigensolver
-rather than the defining linear system, agreement is evidence and not tautology.
+hard walls and held as a symmetric band matrix.  The polynomial is applied to it by
+Horner steps on a few probe vectors, each step one band matrix-vector product, and
+the band of P(A) is read back from the probes; the lowest eigenpairs are then
+compared against the exact analytic spectrum.  The eigenvalues come from LAPACK's
+band reduction without eigenvectors, and each eigenvector from inverse iteration on
+one banded LU, so nothing of size k x k is formed.  Because the route runs through
+an eigensolver rather than the defining linear system, agreement is evidence and
+not tautology.
 
 The Laplacian stencil is the 5-point fourth-order one.  The classic 3-point stencil
 has eigenvalue error (dx^2/24)<p^4> per level, which the polynomial amplifies by
@@ -150,7 +152,7 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
     MAX_GRID_POINTS, and spacings whose 1/(24 dx^2) is not finite, raise ValueError.
     """
     if spec.points > MAX_GRID_POINTS:
-        raise ValueError(f"{spec.points} grid points exceed the dense limit of {MAX_GRID_POINTS}")
+        raise ValueError(f"{spec.points} grid points exceed the grid limit of {MAX_GRID_POINTS}")
     x = spec.positions()
     dx = spec.spacing
     scale = 24.0 * dx * dx
@@ -164,35 +166,6 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
     band[1, :-1] = -16.0 * c
     band[2, :-2] = c
     return GridOperator(spec, band)
-
-
-def _full_diagonals(band: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """D[w + o, i] = M[i, i + o] for |o| <= w, zero where (i, i + o) is off the matrix."""
-    w, k = band.shape[0] - 1, band.shape[1]
-    full = np.zeros((2 * w + 1, k))
-    full[w:] = band
-    for d in range(1, w + 1):
-        full[w - d, d:] = band[d, : k - d]
-    return full
-
-
-def _band_product(
-    left: npt.NDArray[np.float64], right: npt.NDArray[np.float64]
-) -> npt.NDArray[np.float64]:
-    """Lower band of L R for commuting symmetric band matrices, in O(k w_L w_R).
-
-    L R is then symmetric, so its lower band is its upper diagonals: entry
-    (i, i + s + t) collects L[i, i + s] R[i + s, i + s + t] over s and t.
-    """
-    wl, wr, k = left.shape[0] - 1, right.shape[0] - 1, left.shape[1]
-    width = min(wl + wr, k - 1)
-    fl, fr = _full_diagonals(left), _full_diagonals(right)
-    out = np.zeros((width + 1, k))
-    for s in range(-wl, wl + 1):
-        lo, hi = max(0, -s), min(k, k - s)
-        for t in range(max(-wr, -s), min(wr, width - s) + 1):
-            out[s + t, lo:hi] += fl[wl + s, lo:hi] * fr[wr + t, lo + s : hi + s]
-    return out
 
 
 def _band_matvec(
@@ -209,23 +182,35 @@ def _band_matvec(
 
 
 def matrix_polynomial(operator: GridOperator, ham: PolynomialHamiltonian) -> GridOperator:
-    """Band of P(A) by Horner steps, each a banded product in O(k w).
+    """Band of P(A) by Horner steps on probe vectors, each one band matvec.
 
-    The zero-constant-term convention means the Horner chain starts from a_d A and
-    ends with one final multiplication by A, so the zero polynomial maps to the zero
-    matrix.  Each lower coefficient is added to the diagonal in place: no identity
-    matrix is built or multiplied.  Every step multiplies two polynomials in A, which
-    commute, so the product's lower band is all there is to compute.
+    P(A) has half width W = w p for an operator of half width w and highest stored
+    power p, clipped to k - 1.  Probe r, for r < m = min(2W + 1, k), is the sum of
+    the unit vectors e_j with j = r (mod m).  Row i of P(A) is nonzero only in the
+    at most m consecutive columns i - W..i + W, which hold at most one column of
+    each probe, so entry (i, j) of P(A) is entry (i, j mod m) of P(A) E, E holding
+    the probes as columns: m products per step recover the band exactly (Curtis,
+    Powell and Reid, J. Inst. Maths Applics 13, 117, 1974).  The Horner chain
+    Y <- A (Y + a_j E) runs from a_p down to a_1, from Y = 0, and ends with a
+    multiplication by A, as the zero constant term requires: the zero polynomial
+    maps to the zero matrix, and a_j E adds a_j to the diagonal without forming I.
     """
     a = operator.band
+    k = operator.spec.points
     dense = [float(c) for c in ham.dense_coefficients()]
-    if not dense:
-        return GridOperator(operator.spec, np.zeros((1, operator.spec.points)))
-    result = dense[-1] * a
-    for coeff in reversed(dense[:-1]):
-        result[0] += coeff
-        result = _band_product(result, a)
-    return GridOperator(operator.spec, result)
+    width = min((a.shape[0] - 1) * len(dense), k - 1)
+    period = min(2 * width + 1, k)
+    rows = np.arange(k)
+    columns = rows % period
+    probes = np.zeros((k, period))
+    probes[rows, columns] = 1.0
+    y = np.zeros((k, period))
+    for coeff in reversed(dense):
+        y = _band_matvec(a, y + coeff * probes)
+    band = np.zeros((width + 1, k))
+    for d in range(width + 1):
+        band[d, : k - d] = y[rows[d:], columns[: k - d]]
+    return GridOperator(operator.spec, band)
 
 
 def _inverse_iteration(
@@ -461,7 +446,7 @@ def verify_dialled(
             )
         )
 
-    leading = next((c for c in reversed(ham.dense_coefficients()) if c), Fraction(0))
+    leading = ham.coefficient(ham.degree)
     unbounded = (
         f"P is unbounded below (leading coefficient {leading} < 0), so levels 0..{count - 1} "
         "are not its lowest"

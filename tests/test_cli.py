@@ -542,7 +542,7 @@ def test_verify_refuses_oversized_grid(capsys):
     # refused before the k x k operator is allocated
     code, out, err = run_cli(capsys, "verify", "--coeffs=1", "--grid-points", "10000000")
     assert (code, out) == (2, "")
-    assert err == "error: 10000000 grid points exceed the dense limit of 6688\n"
+    assert err == "error: 10000000 grid points exceed the grid limit of 6688\n"
 
 
 def test_module_entry_point_subprocess():

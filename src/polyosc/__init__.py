@@ -5,8 +5,8 @@ algebra, inspect the induced spectrum and its nodal ordering, and cross-check
 both on a finite-difference grid.
 
 The exact half (exactalg, spectrum, oscillator) needs only the standard library;
-numpy and scipy load with gridverify.  Each exported name is looked up in its
-module the first time it is used, so `import polyosc` imports no submodule yet.
+numpy loads with gridverify, scipy with its eigensolve.  Each exported name is
+looked up in its module on first use, so `import polyosc` imports no submodule yet.
 """
 
 import importlib

@@ -32,14 +32,26 @@ class SingularMatrixError(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
-    # Binary floats are refused everywhere an exact rational is expected: silently
-    # converting 0.1 to 3602879701896397/36028797018963968 is never what was meant.
-    if isinstance(value, float):
-        raise ValueError(
-            f"expected an exact rational, got float {value!r}; "
-            "pass a Fraction, an int, or a 'p/q' string"
-        )
-    return Fraction(value)
+    # With _as_index, the one check of exact input.  A binary float is refused, since
+    # 0.1 is never meant as 3602879701896397/36028797018963968, and so is a bool.  Every
+    # other refusal, a zero denominator or None included, is a ValueError naming the value.
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"expected an exact rational, got {type(value).__name__} {value!r}; "
+                         "pass a Fraction, an int, or a 'p/q' string")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"cannot parse {value!r} as an exact rational") from None
+
+
+def _as_index(value, name: str) -> int:
+    # A level or power is refused, not truncated as int() would: 1.7 is not level 1.
+    # Anything with __index__ (int, numpy integers) passes, bools do not.
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} {value!r} must be an integer")
+    return operator.index(value)
 
 
 def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -72,6 +84,10 @@ class EnergyMatrix:
     column_powers: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "levels", tuple(_as_index(n, "level") for n in self.levels))
+        object.__setattr__(
+            self, "column_powers", tuple(_as_index(j, "column power") for j in self.column_powers)
+        )
         _check_levels(self.levels)
         if any(j < 1 for j in self.column_powers):
             raise ValueError(f"column powers must be >= 1, got {self.column_powers}")
@@ -94,7 +110,7 @@ class SpectrumTarget:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValueError("a spectrum target needs at least one level")
-        coerced = tuple((int(lvl), _as_fraction(e)) for lvl, e in self.pairs)
+        coerced = tuple((_as_index(lvl, "level"), _as_fraction(e)) for lvl, e in self.pairs)
         object.__setattr__(self, "pairs", coerced)
         _check_levels(self.levels)
 
@@ -124,7 +140,7 @@ class PolynomialHamiltonian:
     terms: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple((int(p), _as_fraction(a)) for p, a in self.terms)
+        coerced = tuple((_as_index(p, "term power"), _as_fraction(a)) for p, a in self.terms)
         object.__setattr__(self, "terms", coerced)
         powers = [p for p, _ in coerced]
         if any(p < 1 for p in powers):
@@ -160,7 +176,7 @@ class PolynomialHamiltonian:
 
 def build_energy_matrix(levels: Sequence[int], powers: Sequence[int]) -> EnergyMatrix:
     """Energy matrix for the given row levels and column powers (rules as in EnergyMatrix)."""
-    return EnergyMatrix(tuple(map(int, levels)), tuple(map(int, powers)))
+    return EnergyMatrix(levels, powers)
 
 
 def _integer_rows(matrix: EnergyMatrix) -> list[list[int]]:
@@ -352,7 +368,7 @@ def dial_partial(
     if drop_powers is None:
         retained = tuple(range(1, k + 1))
     else:
-        dropped = [int(p) for p in drop_powers]
+        dropped = [_as_index(p, "drop power") for p in drop_powers]
         n_full = k + len(dropped)
         seen = set()
         for p in dropped:

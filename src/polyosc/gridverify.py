@@ -24,8 +24,6 @@ from fractions import Fraction
 
 import numpy as np
 import numpy.typing as npt
-import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import EigensolverError
 from .exactalg import PolynomialHamiltonian
@@ -162,7 +160,8 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
         raise ValueError(f"grid spacing {dx!r} is too small for float64 differences")
     c = 1.0 / scale
     band = np.zeros((3, spec.points))
-    band[0] = 30.0 * c + 0.5 * x * x
+    with np.errstate(over="ignore"):  # GridOperator reports the overflow
+        band[0] = 30.0 * c + 0.5 * x * x
     band[1, :-1] = -16.0 * c
     band[2, :-2] = c
     return GridOperator(spec, band)
@@ -205,8 +204,9 @@ def matrix_polynomial(operator: GridOperator, ham: PolynomialHamiltonian) -> Gri
     probes = np.zeros((k, period))
     probes[rows, columns] = 1.0
     y = np.zeros((k, period))
-    for coeff in reversed(dense):
-        y = _band_matvec(a, y + coeff * probes)
+    with np.errstate(over="ignore", invalid="ignore"):  # GridOperator reports the overflow
+        for coeff in reversed(dense):
+            y = _band_matvec(a, y + coeff * probes)
     band = np.zeros((width + 1, k))
     for d in range(width + 1):
         band[d, : k - d] = y[rows[d:], columns[: k - d]]
@@ -227,6 +227,8 @@ def _inverse_iteration(
     and subnormal where the entries span the float64 range, and the solves would
     divide by it.  That perturbs the shift by at most one ulp of ||M||.
     """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     w, k = band.shape[0] - 1, band.shape[1]
     floor = np.finfo(np.float64).eps * norm
     # dgbtrf layout: entry (i, j) at row 2w + i - j; rows 0..w-1 take the fill-in.
@@ -269,6 +271,8 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     Raises:
         EigensolverError: On LAPACK non-convergence or a failed validity check.
     """
+    import scipy.linalg
+
     k = operator.spec.points
     if not 1 <= count <= k:
         raise ValueError(f"can retain between 1 and {k} eigenpairs, got {count}")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import PolynomialHamiltonian, _common_denominator
+from .exactalg import PolynomialHamiltonian, _as_fraction, _common_denominator
 from .oscillator import analytic_node_count, oscillator_energy
 
 
@@ -58,7 +58,7 @@ def evaluate_polynomial(ham: PolynomialHamiltonian, xi: Fraction) -> Fraction:
     xi = u / v and a_j = c_j / D it accumulates sum_j c_j u^(j-1) v^(top-j) and
     builds one Fraction at the end.
     """
-    return _horner(*_common_denominator(ham.dense_coefficients()), Fraction(xi))
+    return _horner(*_common_denominator(ham.dense_coefficients()), _as_fraction(xi))
 
 
 def evaluate_spectrum(ham: PolynomialHamiltonian, count: int) -> tuple[LevelRecord, ...]:

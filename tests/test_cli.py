@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,43 @@ def test_dial_request_refuses_binary_float(capsys, tmp_path):
     code, _, err = run_cli(capsys, "dial", "--request", str(path))
     assert code == 2
     assert "float" in err
+
+
+# The request parser checks only the JSON shape; the library refuses values of the
+# wrong type.  Either way the refusal is one error line and exit 2.
+_ONE_TARGET = [{"level": 0, "energy": 1}]
+REFUSED_REQUESTS = {
+    "not-an-object": ([1, 2], "request must be a JSON object"),
+    "no-targets": ({}, "request needs a non-empty 'targets' list"),
+    "empty-targets": ({"targets": []}, "request needs a non-empty 'targets' list"),
+    "target-not-an-object": ({"targets": [3]}, "target 3 needs 'level' and 'energy' fields"),
+    "no-level": ({"targets": [{"energy": 1}]},
+                 "target {'energy': 1} needs 'level' and 'energy' fields"),
+    "no-energy": ({"targets": [{"level": 0}]},
+                  "target {'level': 0} needs 'level' and 'energy' fields"),
+    "drop-powers-not-a-list": ({"targets": _ONE_TARGET, "drop_powers": 2},
+                               "'drop_powers' must be a list of integers"),
+    "level-true": ({"targets": [{"level": True, "energy": 1}]}, "level True must be an integer"),
+    "level-1.5": ({"targets": [{"level": 1.5, "energy": 1}]}, "level 1.5 must be an integer"),
+    "energy-true": ({"targets": [{"level": 0, "energy": True}]},
+                    "expected an exact rational, got bool True; "
+                    "pass a Fraction, an int, or a 'p/q' string"),
+    "energy-null": ({"targets": [{"level": 0, "energy": None}]},
+                    "cannot parse None as an exact rational"),
+    "drop-power-1.5": ({"targets": _ONE_TARGET, "drop_powers": [1.5]},
+                       "drop power 1.5 must be an integer"),
+    "drop-power-true": ({"targets": _ONE_TARGET, "drop_powers": [True]},
+                        "drop power True must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_REQUESTS))
+def test_dial_request_refusals_are_one_error_line(capsys, tmp_path, case):
+    payload, message = REFUSED_REQUESTS[case]
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "dial", "--request", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_dial_rejects_zero_denominator(capsys):
@@ -307,13 +345,27 @@ def test_verify_error_budget_beyond_float64_warns(capsys, argv):
     assert out.endswith("# passed = false\n")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_verify_non_finite_operator_names_the_cause(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--coeffs=1", "--half-width", "1e160", "--grid-points", "51"
     )
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == "error: grid operator has non-finite entries (float64 overflow)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--coeffs=1", "--half-width", "1e160", "--grid-points", "51"],
+    [zeros_then(60, "1e200"), "--grid-points", "51"],
+], ids=["wide-grid", "degree-61"])
+def test_verify_overflow_prints_only_the_error_line(argv):
+    # A process with Python's default warning filters: numpy's overflow warnings
+    # would print the install path and source lines ahead of the error.
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "polyosc.cli", "verify", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: grid operator has non-finite entries (float64 overflow)\n"
 
 
 def test_verify_json_is_strict_when_an_error_overflows(capsys):

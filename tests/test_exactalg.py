@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,58 @@ def test_spectrum_target_refuses_floats():
         SpectrumTarget(((0, -3.5),))
     with pytest.raises(ValueError, match="float"):
         SpectrumTarget.from_energies([0.25])
+
+
+# Each value the parent misread (1.7 as level 1, True as energy 1, 2.5 as drop power 2)
+# or crashed on (ZeroDivisionError, TypeError) is refused with a ValueError naming it.
+_TWO_LEVELS = SpectrumTarget(((0, 1), (2, 2)))
+_LINEAR = PolynomialHamiltonian.from_dense([1])
+REFUSED_INPUTS = [
+    pytest.param(lambda: SpectrumTarget(((1.7, 2),)), "level 1.7 must be an integer",
+                 id="target-level-1.7"),
+    pytest.param(lambda: SpectrumTarget(((True, 2),)), "level True must be an integer",
+                 id="target-level-true"),
+    pytest.param(lambda: SpectrumTarget(((0, True),)), "got bool True", id="target-energy-true"),
+    pytest.param(lambda: SpectrumTarget(((0, "1/0"),)), "zero denominator in '1/0'",
+                 id="target-energy-zero-denominator"),
+    pytest.param(lambda: SpectrumTarget(((0, None),)), "cannot parse None as an exact rational",
+                 id="target-energy-none"),
+    pytest.param(lambda: SpectrumTarget(((0, Decimal("Infinity")),)),
+                 "cannot parse Decimal('Infinity') as an exact rational", id="target-energy-inf"),
+    pytest.param(lambda: PolynomialHamiltonian(((1.9, 1),)), "term power 1.9 must be an integer",
+                 id="term-power-1.9"),
+    pytest.param(lambda: PolynomialHamiltonian(((1, [1]),)), "cannot parse [1] as an exact",
+                 id="term-coefficient-list"),
+    pytest.param(lambda: dial_partial(_TWO_LEVELS, [2.5]), "drop power 2.5 must be an integer",
+                 id="drop-power-2.5"),
+    pytest.param(lambda: dial_partial(_TWO_LEVELS, [True]), "drop power True must be an integer",
+                 id="drop-power-true"),
+    pytest.param(lambda: EnergyMatrix((0.5,), (1,)), "level 0.5 must be an integer",
+                 id="matrix-level-0.5"),
+    pytest.param(lambda: build_energy_matrix([0], [Fraction(1)]),
+                 "column power Fraction(1, 1) must be an integer", id="matrix-power-fraction"),
+    pytest.param(lambda: evaluate_polynomial(_LINEAR, 0.1), "got float 0.1", id="point-float"),
+]
+
+
+@pytest.mark.parametrize(("make", "message"), REFUSED_INPUTS)
+def test_inexact_or_non_integer_input_is_refused(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert message in str(err.value)
+
+
+class _Index:
+    # An integer type that is not int, as numpy's integers are.
+    def __index__(self):
+        return 2
+
+
+def test_integer_like_levels_and_powers_are_accepted():
+    assert SpectrumTarget(((_Index(), " 7/2 "),)).pairs == ((2, Fraction(7, 2)),)
+    assert PolynomialHamiltonian(((_Index(), "0.5"),)).terms == ((2, Fraction(1, 2)),)
+    assert build_energy_matrix(range(2), [_Index(), 1]).column_powers == (2, 1)
+    assert dial_partial(_TWO_LEVELS, [_Index()]) == dial_partial(_TWO_LEVELS, [2])
 
 
 def test_polynomial_hamiltonian_validation():

@@ -90,3 +90,21 @@ def test_exact_commands_import_neither_numpy_nor_scipy():
                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == "[]\n"
+
+
+FIGURE_SESSION = """
+import sys, tempfile
+import polyosc.cli
+with tempfile.TemporaryDirectory() as out:
+    code = polyosc.cli.main(["figure", "--coeffs=-13/2,1", "--levels", "3", "--out", out])
+assert code == 0, code
+print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
+"""
+
+
+def test_figure_loads_numpy_but_not_scipy():
+    src = str(Path(polyosc.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", FIGURE_SESSION], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "['numpy']\n"

@@ -2,9 +2,10 @@
 
 All fraction input and output is exact: energies and coefficients travel as 'p/q'
 or finite-decimal strings (or JSON integers) and parse back to the same rationals.
-Binary floats, booleans and non-integer levels or powers are refused by the
-library (exactalg), which this module leaves every value check to.  Output is
-deterministic byte for byte for identical invocations.
+Binary floats, booleans, non-integer levels or powers, and counts or sizes below
+their least value are refused by the library (exact rationals in exactalg, every
+integer by oscillator._as_index), which this module leaves every value check to.
+Output is deterministic byte for byte for identical invocations.
 
 Exit codes: 0 success, 2 malformed or out-of-range input, 3 singular stripped
 system, 4 verification failure, 5 eigensolver non-convergence, 6 unwritable output path.
@@ -174,11 +175,7 @@ def _spectrum_csv(body: dict) -> list[str]:
 # ------------------------------------------------------------------- commands
 
 def _default_levels(requested: int | None, n_dialled: int) -> int:
-    if requested is None:
-        return max(n_dialled, 9)
-    if requested < 1:
-        raise ValueError(f"--levels must be >= 1, got {requested}")
-    return requested
+    return max(n_dialled, 9) if requested is None else requested
 
 
 def _dial_csv(body: dict) -> list[str]:
@@ -386,10 +383,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_det(args: argparse.Namespace) -> int:
     n = args.size
-    if n < 1:
-        raise ValueError(f"matrix size must be >= 1, got {n}")
+    closed = determinant_closed_form(n)  # first, so that a size below 1 is refused by name
     eliminated = determinant(build_energy_matrix(range(n), range(1, n + 1)))
-    closed = determinant_closed_form(n)
     body = {
         "n": n,
         "elimination": str(eliminated),

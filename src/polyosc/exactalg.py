@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .oscillator import oscillator_energy
+from .oscillator import _as_index, oscillator_energy
 
 
 class SingularMatrixError(ValueError):
@@ -32,9 +32,10 @@ class SingularMatrixError(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
-    # With _as_index, the one check of exact input.  A binary float is refused, since
-    # 0.1 is never meant as 3602879701896397/36028797018963968, and so is a bool.  Every
-    # other refusal, a zero denominator or None included, is a ValueError naming the value.
+    # The one check of an exact rational, as oscillator._as_index is of an integer.  A
+    # binary float is refused, since 0.1 is never meant as 3602879701896397/36028797018963968,
+    # and so is a bool.  Every other refusal, a zero denominator or None included, is a
+    # ValueError naming the value.
     if isinstance(value, (float, bool)):
         raise ValueError(f"expected an exact rational, got {type(value).__name__} {value!r}; "
                          "pass a Fraction, an int, or a 'p/q' string")
@@ -46,14 +47,6 @@ def _as_fraction(value) -> Fraction:
         raise ValueError(f"cannot parse {value!r} as an exact rational") from None
 
 
-def _as_index(value, name: str) -> int:
-    # A level or power is refused, not truncated as int() would: 1.7 is not level 1.
-    # Anything with __index__ (int, numpy integers) passes, bools do not.
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{name} {value!r} must be an integer")
-    return operator.index(value)
-
-
 def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers c_i and one denominator D with values[i] = c_i / D."""
     # The lcm of a list, not of a generator: star-unpacking a generator builds its tuple
@@ -62,43 +55,39 @@ def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _check_levels(levels: Sequence[int]) -> None:
-    # Non-negative and strictly increasing, so the energies h_n are distinct and positive.
-    if levels and levels[0] < 0:
-        raise ValueError(f"level indices must be non-negative, got {levels[0]}")
-    for a, b in zip(levels, levels[1:]):
+def _check_increasing(values: Sequence[int], name: str) -> None:
+    # Levels this way have distinct energies h_n, and terms one coefficient per power.
+    for a, b in zip(values, values[1:]):
         if b <= a:
-            raise ValueError(f"levels must be strictly increasing, got {a} then {b}")
+            raise ValueError(f"{name} must be strictly increasing, got {a} then {b}")
 
 
 @dataclass(frozen=True)
 class EnergyMatrix:
-    """Matrix with entry (h_n)^j, h_n = n + 1/2, for each row level n and column power j.
+    """Square, non-empty matrix with entry (h_n)^j, h_n = n + 1/2, at row level n, column power j.
 
     Attributes:
         levels: Oscillator level labelling each row; non-negative, strictly increasing.
-        column_powers: h-power labelling each column; each >= 1, in any order.
+        column_powers: h-power labelling each column, one per level; each >= 1, in any order.
     """
 
     levels: tuple[int, ...]
     column_powers: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(_as_index(n, "level") for n in self.levels))
-        object.__setattr__(
-            self, "column_powers", tuple(_as_index(j, "column power") for j in self.column_powers)
-        )
-        _check_levels(self.levels)
-        if any(j < 1 for j in self.column_powers):
-            raise ValueError(f"column powers must be >= 1, got {self.column_powers}")
+        levels = tuple(_as_index(n, "level", 0) for n in self.levels)
+        powers = tuple(_as_index(j, "column power", 1) for j in self.column_powers)
+        if not levels or len(levels) != len(powers):
+            raise ValueError(
+                f"energy matrix must be square and non-empty, got {len(levels)}x{len(powers)}"
+            )
+        _check_increasing(levels, "levels")
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "column_powers", powers)
 
     @property
     def n_rows(self) -> int:
         return len(self.levels)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.column_powers)
 
 
 @dataclass(frozen=True)
@@ -110,9 +99,9 @@ class SpectrumTarget:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValueError("a spectrum target needs at least one level")
-        coerced = tuple((_as_index(lvl, "level"), _as_fraction(e)) for lvl, e in self.pairs)
+        coerced = tuple((_as_index(lvl, "level", 0), _as_fraction(e)) for lvl, e in self.pairs)
         object.__setattr__(self, "pairs", coerced)
-        _check_levels(self.levels)
+        _check_increasing(self.levels, "levels")
 
     @classmethod
     def from_energies(cls, energies: Sequence) -> "SpectrumTarget":
@@ -140,14 +129,9 @@ class PolynomialHamiltonian:
     terms: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple((_as_index(p, "term power"), _as_fraction(a)) for p, a in self.terms)
+        coerced = tuple((_as_index(p, "term power", 1), _as_fraction(a)) for p, a in self.terms)
         object.__setattr__(self, "terms", coerced)
-        powers = [p for p, _ in coerced]
-        if any(p < 1 for p in powers):
-            raise ValueError(f"term powers must be >= 1, got {powers}")
-        for a, b in zip(powers, powers[1:]):
-            if b <= a:
-                raise ValueError(f"term powers must be strictly increasing, got {powers}")
+        _check_increasing([p for p, _ in coerced], "term powers")
 
     @classmethod
     def from_dense(cls, coefficients: Sequence) -> "PolynomialHamiltonian":
@@ -181,7 +165,7 @@ def build_energy_matrix(levels: Sequence[int], powers: Sequence[int]) -> EnergyM
 
 def _integer_rows(matrix: EnergyMatrix) -> list[list[int]]:
     """The entries times 2^top, top the largest power: (2n + 1)^j 2^(top - j) at (n, j)."""
-    top = max(matrix.column_powers, default=0)
+    top = max(matrix.column_powers)
     return [[(2 * n + 1) ** j << (top - j) for j in matrix.column_powers] for n in matrix.levels]
 
 
@@ -230,8 +214,6 @@ def determinant(matrix: EnergyMatrix) -> Fraction:
     times the one returned.
     """
     n = matrix.n_rows
-    if n != matrix.n_cols:
-        raise ValueError(f"determinant needs a square matrix, got {n}x{matrix.n_cols}")
     m = _integer_rows(matrix)
     try:
         sign = _forward_eliminate(m, matrix.column_powers)
@@ -246,8 +228,7 @@ def determinant_closed_form(n: int) -> Fraction:
     It is the Vandermonde product prod_{i<j} (h_j - h_i) = prod_{g<n} g! times
     prod_n h_n = prod_{g<n} (2g+1) / 2^n, because row n is h_n (1, h_n, ..., h_n^{n-1}).
     """
-    if n < 1:
-        raise ValueError(f"matrix size must be >= 1, got {n}")
+    n = _as_index(n, "matrix size", 1)
     numerator = math.prod(math.factorial(g) * (2 * g + 1) for g in range(1, n))
     return Fraction(numerator, 2**n)
 
@@ -264,14 +245,12 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
             the message names the h-power of the pivot column where elimination failed.
     """
     n = matrix.n_rows
-    if n != matrix.n_cols:
-        raise ValueError(f"solver needs a square matrix, got {n}x{matrix.n_cols}")
     b = [_as_fraction(v) for v in rhs]
     if len(b) != n:
         raise ValueError(f"right-hand side has {len(b)} entries for {n} rows")
 
     rows = _integer_rows(matrix)
-    top = max(matrix.column_powers, default=0)
+    top = max(matrix.column_powers)
     if matrix.column_powers == tuple(range(1, n + 1)):
         # P(h_i) = h_i Q(h_i) = b_i: Q interpolates b_i / h_i, and a_{j+1} is Q's x^j.
         nodes = [oscillator_energy(level) for level in matrix.levels]
@@ -368,11 +347,11 @@ def dial_partial(
     if drop_powers is None:
         retained = tuple(range(1, k + 1))
     else:
-        dropped = [_as_index(p, "drop power") for p in drop_powers]
+        dropped = [_as_index(p, "drop power", 1) for p in drop_powers]
         n_full = k + len(dropped)
         seen = set()
         for p in dropped:
-            if p < 1 or p > n_full:
+            if p > n_full:
                 raise ValueError(
                     f"drop power {p} is outside 1..{n_full} "
                     f"({k} targets plus {len(dropped)} dropped columns)"

@@ -27,7 +27,7 @@ import numpy.typing as npt
 
 from . import EigensolverError
 from .exactalg import PolynomialHamiltonian
-from .oscillator import oscillator_energy
+from .oscillator import _as_index, oscillator_energy
 from .spectrum import evaluate_polynomial, evaluate_spectrum, ordering_report
 
 SIGN_THRESHOLD_RATIO = 1e-9
@@ -55,8 +55,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise ValueError(f"half width must be positive and finite, got {self.half_width}")
-        if self.points < 3:
-            raise ValueError(f"need at least 3 grid points, got {self.points}")
+        object.__setattr__(self, "points", _as_index(self.points, "grid points", 3))
 
     @property
     def spacing(self) -> float:
@@ -274,8 +273,9 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     import scipy.linalg
 
     k = operator.spec.points
-    if not 1 <= count <= k:
-        raise ValueError(f"can retain between 1 and {k} eigenpairs, got {count}")
+    count = _as_index(count, "eigenpair count", 1)
+    if count > k:
+        raise ValueError(f"can retain at most {k} eigenpairs, got {count}")
     peak = float(np.abs(operator.band).max())
     # A power of two, so that scaling adds no rounding; the entries end up below 2.
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0.0 else 1.0
@@ -402,8 +402,7 @@ def verify_dialled(
     """
     if spec is None:
         spec = GridSpec()
-    if levels_to_check < 1:
-        raise ValueError(f"need at least one level to check, got {levels_to_check}")
+    levels_to_check = _as_index(levels_to_check, "level count", 1)
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     count = min(levels_to_check, spec.points)

@@ -9,12 +9,25 @@ polynomials eta_n.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # numpy loads only when eigenfunctions are sampled
     import numpy as np
     import numpy.typing as npt
+
+
+def _as_index(value, name: str, least: int) -> int:
+    # The one check of an integer argument, be it a level, power, count or grid size.
+    # Anything with __index__ (int, numpy integers) passes, from `least` up; bools do
+    # not, and a float is refused, not truncated as int() would: 1.7 is not level 1.
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} {value!r} must be an integer")
+    index = operator.index(value)
+    if index < least:
+        raise ValueError(f"{name} {index} must be >= {least}")
+    return index
 
 
 def oscillator_energy(n: int) -> Fraction:
@@ -26,9 +39,7 @@ def oscillator_energy(n: int) -> Fraction:
     Returns:
         The eigenvalue as an exact rational.
     """
-    if n < 0:
-        raise ValueError(f"level index must be non-negative, got {n}")
-    return Fraction(2 * n + 1, 2)
+    return Fraction(2 * _as_index(n, "level", 0) + 1, 2)
 
 
 def eigenfunction_samples(n: int, x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
@@ -48,10 +59,9 @@ def eigenfunction_samples(n: int, x: npt.NDArray[np.float64]) -> npt.NDArray[np.
     Returns:
         Array of phi_n values with the same shape as x.
     """
+    n = _as_index(n, "level", 0)
     import numpy as np
 
-    if n < 0:
-        raise ValueError(f"level index must be non-negative, got {n}")
     xs = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(xs)):
         raise ValueError("sample positions must be finite")
@@ -68,6 +78,4 @@ def eigenfunction_samples(n: int, x: npt.NDArray[np.float64]) -> npt.NDArray[np.
 
 def analytic_node_count(n: int) -> int:
     """Number of real zeros of phi_n, which is exactly n."""
-    if n < 0:
-        raise ValueError(f"level index must be non-negative, got {n}")
-    return n
+    return _as_index(n, "level", 0)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import PolynomialHamiltonian, _as_fraction, _common_denominator
-from .oscillator import analytic_node_count, oscillator_energy
+from .oscillator import _as_index, analytic_node_count, oscillator_energy
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,7 @@ def evaluate_spectrum(ham: PolynomialHamiltonian, count: int) -> tuple[LevelReco
         ham: The polynomial Hamiltonian.
         count: Number of levels, >= 1.
     """
-    if count < 1:
-        raise ValueError(f"need at least one level, got count={count}")
+    count = _as_index(count, "level count", 1)
     coeffs, den = _common_denominator(ham.dense_coefficients())
     records = []
     for n in range(count):

@@ -7,9 +7,8 @@ from pathlib import Path
 import pytest
 
 import polyosc.cli as cli
-from polyosc import gridverify
+from polyosc import EigensolverError
 from polyosc.exactalg import SingularMatrixError
-from polyosc.gridverify import EigensolverError
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -459,7 +458,7 @@ def test_verify_eigensolver_failure_exits_5(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise EigensolverError("eigensolver failed to converge")
 
-    monkeypatch.setattr(gridverify, "verify_dialled", boom)
+    monkeypatch.setattr("polyosc.gridverify.verify_dialled", boom)
     code, _, err = run_cli(capsys, "verify", "--coeffs=1")
     assert code == 5
     assert "converge" in err
@@ -588,6 +587,25 @@ def test_value_beyond_float64_exits_2(capsys, tmp_path, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: value beyond float64 range")
     assert len(err.splitlines()) == 1
+
+
+# command line -> the library's refusal; the CLI checks neither --levels nor the det size
+COUNTS_BELOW_LEAST = {
+    "det 0": "matrix size 0 must be >= 1",
+    "det -3": "matrix size -3 must be >= 1",
+    "dial --targets 0:1 --levels 0": "level count 0 must be >= 1",
+    "spectrum --coeffs=1 --levels 0": "level count 0 must be >= 1",
+    "figure --coeffs=1 --levels 0 --out OUT": "level count 0 must be >= 1",
+    "verify --coeffs=1 --levels 0": "level count 0 must be >= 1",
+    "verify --coeffs=1 --grid-points 2": "grid points 2 must be >= 3",
+}
+
+
+@pytest.mark.parametrize("line", list(COUNTS_BELOW_LEAST))
+def test_count_below_its_least_value_exits_2(capsys, tmp_path, line):
+    argv = [str(tmp_path / "fig") if arg == "OUT" else arg for arg in line.split()]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {COUNTS_BELOW_LEAST[line]}\n")
 
 
 def test_verify_refuses_oversized_grid(capsys):

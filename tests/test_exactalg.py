@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -17,8 +18,8 @@ from polyosc.exactalg import (
     dial_partial,
     solve_linear_exact,
 )
-from polyosc.oscillator import oscillator_energy
-from polyosc.spectrum import evaluate_polynomial
+from polyosc.oscillator import analytic_node_count, eigenfunction_samples, oscillator_energy
+from polyosc.spectrum import evaluate_polynomial, evaluate_spectrum
 
 
 def energy_rows(levels, powers):
@@ -104,6 +105,55 @@ def test_inexact_or_non_integer_input_is_refused(make, message):
     assert message in str(err.value)
 
 
+def _gridverify():
+    # needs numpy; without it the cases that use it skip
+    return pytest.importorskip("polyosc.gridverify")
+
+
+# Every integer argument, its name in the refusal and its least value: each is
+# checked once, by oscillator._as_index, for type and lower bound.
+INTEGER_ARGUMENTS = {
+    "oscillator_energy": (oscillator_energy, "level", 0),
+    "eigenfunction_samples": (lambda n: eigenfunction_samples(n, [0.0]), "level", 0),
+    "analytic_node_count": (analytic_node_count, "level", 0),
+    "matrix-level": (lambda n: EnergyMatrix((n,), (1,)), "level", 0),
+    "matrix-power": (lambda j: EnergyMatrix((0,), (j,)), "column power", 1),
+    "target-level": (lambda n: SpectrumTarget(((n, 1),)), "level", 0),
+    "term-power": (lambda p: PolynomialHamiltonian(((p, 1),)), "term power", 1),
+    "drop-power": (lambda p: dial_partial(_TWO_LEVELS, [p]), "drop power", 1),
+    "determinant_closed_form": (determinant_closed_form, "matrix size", 1),
+    "evaluate_spectrum": (lambda c: evaluate_spectrum(_LINEAR, c), "level count", 1),
+    "gridverify-points": (lambda k: _gridverify().GridSpec(points=k), "grid points", 3),
+    "gridverify-levels": (lambda c: _gridverify().verify_dialled(_LINEAR, levels_to_check=c),
+                          "level count", 1),
+    "gridverify-eigenpairs": (
+        lambda c: _gridverify().diagonalize(
+            _gridverify().build_oscillator_grid(_gridverify().GridSpec(1.0, 3)), c),
+        "eigenpair count", 1),
+}
+REFUSED_INTEGERS = [
+    pytest.param(partial(call, value), message, id=f"{site}-{value}")
+    for site, (call, name, least) in INTEGER_ARGUMENTS.items()
+    for value, message in ((2.5, f"{name} 2.5 must be an integer"),
+                           (True, f"{name} True must be an integer"),
+                           (least - 1, f"{name} {least - 1} must be >= {least}"))
+] + [
+    pytest.param(partial(build_energy_matrix, [], []),
+                 "energy matrix must be square and non-empty, got 0x0", id="matrix-empty"),
+    pytest.param(lambda: determinant(build_energy_matrix([], [])),
+                 "energy matrix must be square and non-empty, got 0x0", id="determinant-empty"),
+    pytest.param(partial(build_energy_matrix, range(2), range(1, 4)),
+                 "energy matrix must be square and non-empty, got 2x3", id="matrix-wide"),
+]
+
+
+@pytest.mark.parametrize(("make", "message"), REFUSED_INTEGERS)
+def test_integer_arguments_and_matrix_shape_are_refused(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert message == str(err.value)
+
+
 class _Index:
     # An integer type that is not int, as numpy's integers are.
     def __index__(self):
@@ -140,7 +190,7 @@ def test_polynomial_hamiltonian_zero_and_sparse():
 
 def test_energy_matrix_entries():
     matrix = build_energy_matrix(range(3), range(1, 4))
-    assert matrix.n_rows == matrix.n_cols == 3
+    assert matrix.n_rows == 3
     assert matrix.levels == (0, 1, 2)
     assert matrix.column_powers == (1, 2, 3)
     # entries (h_n)^j times 2^3: row 0 is (1/2, 1/4, 1/8), row 2 is (5/2, 25/4, 125/8)
@@ -153,15 +203,15 @@ def test_energy_matrix_entries():
 
 
 def test_energy_matrix_validation():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="level -1 must be >= 0"):
         build_energy_matrix([-1, 0], [1, 2])
     with pytest.raises(ValueError, match="strictly increasing, got 1 then 1"):
         build_energy_matrix([0, 1, 1], [1, 2, 3])
     with pytest.raises(ValueError, match="strictly increasing, got 2 then 1"):
         EnergyMatrix(levels=(2, 1), column_powers=(1, 2))
-    with pytest.raises(ValueError, match="column powers must be >= 1"):
+    with pytest.raises(ValueError, match="column power 0 must be >= 1"):
         build_energy_matrix(range(2), [0, 1])
-    with pytest.raises(ValueError, match="column powers must be >= 1"):
+    with pytest.raises(ValueError, match="column power -2 must be >= 1"):
         EnergyMatrix(levels=(0,), column_powers=(-2,))
     # order and repeats of powers stay allowed; a repeat makes the matrix singular
     assert build_energy_matrix(range(2), [2, 2]).column_powers == (2, 2)
@@ -200,8 +250,8 @@ def test_determinant_closed_form_matches_elimination_to_n12():
 def test_determinant_singular_and_nonsquare():
     assert determinant(build_energy_matrix(range(2), (2, 2))) == 0
     assert determinant(build_energy_matrix([1, 3, 4], (1, 3, 1))) == 0
-    wide = build_energy_matrix(range(2), range(1, 4))
     with pytest.raises(ValueError):
+        wide = build_energy_matrix(range(2), range(1, 4))
         determinant(wide)
 
 

@@ -17,6 +17,7 @@ only when `verify` calls the eigensolver.
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -53,17 +54,25 @@ EXIT_WRITE = 6
 parse_rational = _as_fraction
 
 
+# A wire integer: ASCII digits with an optional sign, padding allowed as around an
+# energy.  int() alone would also read '1_0' as 10 and take non-ASCII digits; the
+# range (a level >= 0, a power >= 1) stays with oscillator._as_index.
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _parse_decimal(text: str, what: str) -> int:
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"{what} {text!r} is not a decimal integer")
+    return int(text)
+
+
 def _parse_targets_inline(text: str) -> SpectrumTarget:
     pairs = []
     for chunk in text.split(","):
         level_text, sep, energy_text = chunk.partition(":")
         if not sep:
             raise ValueError(f"target {chunk!r} is not of the form level:energy")
-        try:
-            level = int(level_text)
-        except ValueError:
-            raise ValueError(f"level {level_text!r} is not an integer") from None
-        pairs.append((level, parse_rational(energy_text)))
+        pairs.append((_parse_decimal(level_text, "level"), parse_rational(energy_text)))
     return SpectrumTarget(tuple(pairs))
 
 
@@ -90,10 +99,7 @@ def _parse_coeffs(text: str) -> PolynomialHamiltonian:
 
 
 def _parse_drop_powers(text: str) -> list[int]:
-    try:
-        return [int(chunk) for chunk in text.split(",")]
-    except ValueError:
-        raise ValueError(f"cannot parse {text!r} as a comma-separated integer list") from None
+    return [_parse_decimal(chunk, "drop power") for chunk in text.split(",")]
 
 
 # ------------------------------------------------------------- output helpers

@@ -14,8 +14,9 @@ system is polynomial interpolation of E_n / h_n at the distinct positive nodes h
 solved by Newton divided differences in O(N^2) (Bjorck and Pereyra, Math. Comp. 24,
 1970).  Every other power list goes through fraction-free (Bareiss) elimination of
 the integer rows, which `determinant` also uses.  Either way the solution is
-substituted back into every integer row, so a returned coefficient vector
-reproduces the requested energies with zero residual.
+substituted back into every integer row, so a coefficient vector returned by
+`solve_linear_exact`, `dial` or `dial_partial` reproduces the requested energies
+with zero residual.
 """
 
 import math
@@ -243,6 +244,8 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
     Raises:
         SingularMatrixError: If the matrix is singular, which takes a repeated power;
             the message names the h-power of the pivot column where elimination failed.
+        RuntimeError: If the solution misses an equation on substitution (an internal
+            fault, never a property of the input); the message names its level.
     """
     n = matrix.n_rows
     b = [_as_fraction(v) for v in rhs]
@@ -269,11 +272,14 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
             x[i] = acc / m[i][i]
 
     # Substitute into every integer row, x written as numerators over one common
-    # denominator: sum_j row_j x_j must equal 2^top b_i.
+    # denominator: sum_j row_j x_j must equal 2^top b_i.  Neither route computes this
+    # power sum, so it is the one back-check of every solve, dial's included.
     nums, den = _common_denominator(x)
-    for row, bi in zip(rows, b):
+    for level, row, bi in zip(matrix.levels, rows, b):
         if sum(map(operator.mul, row, nums)) * bi.denominator != (bi.numerator << top) * den:
-            raise RuntimeError("internal consistency failure: exact solve residual is nonzero")
+            raise RuntimeError(
+                f"internal consistency failure: exact solve residual is nonzero at level {level}"
+            )
     return tuple(x)
 
 
@@ -310,7 +316,8 @@ def dial(target: SpectrumTarget) -> PolynomialHamiltonian:
 
     The target must assign levels 0..N-1 exactly (use `dial_partial` to leave gaps).
     The solution is unique because the full energy matrix has nonzero determinant,
-    and it is verified term by term before being returned.
+    and `solve_linear_exact` substitutes it into every level's equation before it
+    is returned.
     """
     n = len(target.pairs)
     if target.levels != tuple(range(n)):
@@ -365,27 +372,8 @@ def dial_partial(
 
 
 def _fit(target: SpectrumTarget, powers: Sequence[int]) -> PolynomialHamiltonian:
-    # Build, solve and back-check: the one fit shared by dial and dial_partial.
+    # Build and solve, the one fit shared by dial and dial_partial; the solve's own
+    # row check is the back-check of the returned coefficients.
     matrix = build_energy_matrix(target.levels, powers)
     coeffs = solve_linear_exact(matrix, target.energies)
-    ham = PolynomialHamiltonian(tuple(zip(matrix.column_powers, coeffs)))
-    _check_dialled(ham, target)
-    return ham
-
-
-def _check_dialled(ham: PolynomialHamiltonian, target: SpectrumTarget) -> None:
-    # Deliberately not Horner: an independent power-sum route for the back-check.
-    # With a_p = c_p / D and h = u / v, P(h) = E is checked over the integers as
-    # sum_p c_p u^p v^(top - p) = E D v^top.
-    nums, den = _common_denominator([a for _, a in ham.terms])
-    scaled = [(p, c) for (p, _), c in zip(ham.terms, nums)]
-    top = max(p for p, _ in scaled)
-    for level, energy in target.pairs:
-        h = oscillator_energy(level)
-        u, v = h.numerator, h.denominator
-        total = sum(c * u**p * v ** (top - p) for p, c in scaled)
-        if total * energy.denominator != energy.numerator * den * v**top:
-            value = Fraction(total, den * v**top)
-            raise RuntimeError(
-                f"internal consistency failure: P(h_{level}) = {value} != {energy}"
-            )
+    return PolynomialHamiltonian(tuple(zip(matrix.column_powers, coeffs)))

@@ -84,12 +84,11 @@ def ordering_report(records: Sequence[LevelRecord]) -> OrderingReport:
     for i, rec in enumerate(records):
         if rec.level != i:
             raise ValueError(f"records must cover levels 0..{len(records) - 1} in order")
-    order = sorted(range(len(records)), key=lambda i: (records[i].energy, i))
-    violations = tuple(
-        (i, i + 1)
-        for i in range(len(records) - 1)
-        if records[i].energy >= records[i + 1].energy
-    )
+    # Numerators over one common denominator order as the energies do, and compare
+    # as plain integers; the sort is stable, so ties keep index order.
+    nums, _ = _common_denominator([rec.energy for rec in records])
+    order = sorted(range(len(nums)), key=nums.__getitem__)
+    violations = tuple((i, i + 1) for i in range(len(nums) - 1) if nums[i] >= nums[i + 1])
     return OrderingReport(tuple(order), violations, not violations)
 
 

@@ -174,6 +174,25 @@ def test_dial_rejects_malformed_targets(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("option,text,message", [
+    ("--targets", "0:1,1_0:2", "level '1_0' is not a decimal integer"),
+    ("--targets", "0:1,\u0661:2", "level '\u0661' is not a decimal integer"),
+    ("--drop-powers", " 1_0", "drop power ' 1_0' is not a decimal integer"),
+    ("--drop-powers", "2,", "drop power '' is not a decimal integer"),
+])
+def test_dial_reads_levels_and_drop_powers_as_ascii_decimals(capsys, option, text, message):
+    # int() alone would read '1_0' as 10 and the Arabic-Indic one as 1.
+    argv = ["--targets", "0:1,1:2"] if option == "--drop-powers" else []
+    code, out, err = run_cli(capsys, "dial", *argv, f"{option}={text}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_dial_accepts_padded_levels_and_drop_powers(capsys):
+    plain = run_cli(capsys, "dial", "--targets", "0:1,1:2", "--drop-powers", "2,3")
+    padded = run_cli(capsys, "dial", "--targets", " 0 :1, 1:2", "--drop-powers", " 2 ,3 ")
+    assert padded == plain and plain[0] == 0
+
+
 def test_dial_missing_request_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "dial", "--request", str(tmp_path / "nope.json"))
     assert code == 2

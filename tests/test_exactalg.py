@@ -412,22 +412,50 @@ def test_dial_sixty_levels_round_trip():
         assert evaluate_polynomial(ham, oscillator_energy(level)) == energy
 
 
-def test_back_check_catches_a_perturbed_coefficient():
+def test_back_check_catches_a_perturbed_coefficient(monkeypatch):
+    # dial and dial_partial return only what solve_linear_exact's row check passed; a
+    # coefficient off by 1e-30 on either route is refused, naming the failing level.
+    interpolate = exactalg._interpolate
+    deltas = {}
+
+    def perturbed(nodes, values):
+        return [c + deltas.get(i, 0) for i, c in enumerate(interpolate(nodes, values))]
+
+    monkeypatch.setattr(exactalg, "_interpolate", perturbed)
     target = SpectrumTarget.from_energies([Fraction(-3), Fraction(-15, 2)])
-    ham = PolynomialHamiltonian.from_dense([Fraction(-13, 2), 1 + Fraction(1, 10**30)])
-    with pytest.raises(RuntimeError) as err:
-        exactalg._check_dialled(ham, target)
-    value = Fraction(-3) + Fraction(1, 4 * 10**30)  # P(h_0) = -13/4 + (1 + 1e-30)/4
-    assert str(err.value) == f"internal consistency failure: P(h_0) = {value} != -3"
+    tiny = Fraction(1, 10**30)
+    for deltas, level in (
+        ({1: tiny}, 0),  # a_2 + 1e-30 moves every level
+        ({0: -tiny / 2, 1: tiny}, 1),  # a_1 h_0 + a_2 h_0^2 unchanged: level 0 still holds
+    ):
+        with pytest.raises(RuntimeError) as err:
+            dial(target)
+        assert str(err.value) == (
+            f"internal consistency failure: exact solve residual is nonzero at level {level}"
+        )
+
+    forward = exactalg._forward_eliminate
+    calls = []
+
+    def off_in_last_row(m, powers):
+        sign = forward(m, powers)
+        calls.append(len(m))
+        m[-1][-1] += 1  # the last right-hand side, which fixes the highest retained power
+        return sign
 
     rng = random.Random(1212)
     pairs = tuple((lvl, Fraction(rng.randrange(-999, 999), rng.randrange(1, 99)))
                   for lvl in sorted(rng.sample(range(20), 12)))
-    terms = list(dial_partial(SpectrumTarget(pairs)).terms)
-    p, a = terms[5]
-    terms[5] = (p, a + Fraction(1, 10**30))
-    with pytest.raises(RuntimeError, match=r"P\(h_\d+\) = -?\d+/\d+ != "):
-        exactalg._check_dialled(PolynomialHamiltonian(tuple(terms)), SpectrumTarget(pairs))
+    dial_partial(SpectrumTarget(pairs), drop_powers=[3, 7])  # passes unpatched
+    monkeypatch.setattr(exactalg, "_forward_eliminate", off_in_last_row)
+    with pytest.raises(RuntimeError) as err:
+        dial_partial(SpectrumTarget(pairs), drop_powers=[3, 7])
+    assert calls == [12]  # the Bareiss route
+    level = int(str(err.value).rpartition(" ")[2])
+    assert level in {lvl for lvl, _ in pairs}
+    assert str(err.value) == (
+        f"internal consistency failure: exact solve residual is nonzero at level {level}"
+    )
 
 
 def test_dial_identity_spectrum():

@@ -116,6 +116,31 @@ def test_ordering_report_stable_for_ties():
     assert report.ascending_permutation == (2, 0, 1)
 
 
+def test_ordering_report_matches_a_fraction_sort_on_unrelated_records():
+    # Records that come from no one polynomial: unrelated denominators, negatives, zero
+    # and exact ties, against the Fraction sort the integer keys replace.
+    rng = random.Random(2718)
+    pool = [Fraction(0), Fraction(-1, 3), Fraction(1, 3), Fraction(7, 10**12 + 39)]
+    for _ in range(200):
+        energies = []
+        for _ in range(rng.randrange(1, 13)):
+            if energies and rng.random() < 0.3:
+                energies.append(rng.choice(energies))
+            elif rng.random() < 0.2:
+                energies.append(rng.choice(pool))
+            else:
+                energies.append(Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6)))
+        records = tuple(LevelRecord(n, e, n) for n, e in enumerate(energies))
+        order = sorted(range(len(energies)), key=lambda i: (energies[i], i))
+        violations = tuple(
+            (i, i + 1) for i in range(len(energies) - 1) if energies[i] >= energies[i + 1]
+        )
+        report = ordering_report(records)
+        assert report.ascending_permutation == tuple(order)
+        assert report.violations == violations
+        assert report.is_sturm_liouville_ordered == (not violations)
+
+
 def test_ordering_report_input_validation():
     with pytest.raises(ValueError):
         ordering_report(())

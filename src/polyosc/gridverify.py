@@ -4,11 +4,15 @@ The oscillator is discretized by central finite differences on a uniform grid wi
 hard walls and held as a symmetric band matrix.  The polynomial is applied to it by
 Horner steps on a few probe vectors, each step one band matrix-vector product, and
 the band of P(A) is read back from the probes; the lowest eigenpairs are then
-compared against the exact analytic spectrum.  The eigenvalues come from LAPACK's
-band reduction without eigenvectors, and each eigenvector from inverse iteration on
-one banded LU, so nothing of size k x k is formed.  Because the route runs through
-an eigensolver rather than the defining linear system, agreement is evidence and
-not tautology.
+compared against the exact analytic spectrum.  The grid is uniform on [-L, L], the
+potential even and the stencil symmetric, so P(A) commutes with the mirror x -> -x
+and its spectrum splits exactly into a block of mirror-even and one of mirror-odd
+vectors, each on about half the samples.  Each block's eigenvalues come from
+LAPACK's band reduction without eigenvectors, and each eigenvector from inverse
+iteration on one banded LU of its block, so nothing of size k x k is formed.  The
+parity is a symmetry of the discretisation, not of the exact answer, and because
+the route runs through an eigensolver rather than the defining linear system,
+agreement is evidence and not tautology.
 
 The Laplacian stencil is the 5-point fourth-order one.  The classic 3-point stencil
 has eigenvalue error (dx^2/24)<p^4> per level, which the polynomial amplifies by
@@ -18,7 +22,9 @@ The 5-point stencil pushes the discretization error three orders of magnitude
 below the verification tolerance, for a band of half width 2 deg P instead of deg P.
 """
 
+import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,13 +42,23 @@ NORM_TOLERANCE = 1e-10
 ORTHOGONALITY_TOLERANCE = 1e-8
 DEGENERACY_FACTOR = 10.0
 # The band reduction behind the eigenvalues costs O(k^2 w) time for half bandwidth
-# w = 2 deg P; a quintic at 6001 points takes about 1.3 s and under 70 MB on a 2-core
-# machine, so grids above this size are refused before anything is allocated.
+# w = 2 deg P, run on two mirror blocks of about k/2 points; a quintic at 6001 points
+# takes about 1.2 s and under 70 MB as a `verify` process on a 2-core machine, so
+# grids above this size are refused before anything is allocated.
 MAX_GRID_POINTS = 6688
 # Inverse iteration: solves per eigenvector, and the seed of the start vectors,
 # fixed so that repeated runs give identical bytes.
 INVERSE_STEPS = 3
 START_SEED = 0
+
+
+def _as_real(value, name: str) -> float:
+    # The one check of a float argument, the half width or the tolerance: any real
+    # number (int, float, Fraction, numpy floats) passes and is stored as a float; a
+    # bool is refused, not read as 0 or 1, and so is anything that is not a number.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} {value!r} must be a real number")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -53,8 +69,10 @@ class GridSpec:
     points: int = 1001
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.half_width) and self.half_width > 0):
+        half_width = _as_real(self.half_width, "half width")
+        if not (math.isfinite(half_width) and half_width > 0):
             raise ValueError(f"half width must be positive and finite, got {self.half_width}")
+        object.__setattr__(self, "half_width", half_width)
         object.__setattr__(self, "points", _as_index(self.points, "grid points", 3))
 
     @property
@@ -217,14 +235,17 @@ def _inverse_iteration(
 ) -> npt.NDArray[np.float64]:
     """Unit eigenvectors of a symmetric band matrix for its ascending eigenvalues.
 
-    Each vector takes INVERSE_STEPS solves with the LU of M - value I from a seeded
+    Called once per mirror block, with the eigenvalues that block contributes.  Each
+    vector takes INVERSE_STEPS solves with the LU of M - value I from a seeded
     random start (Parlett, The Symmetric Eigenvalue Problem, 1980), orthogonalised
-    after every solve against the vectors found before it: that is what separates
-    the members of an exactly degenerate pair, which share one shift.  A pivot of U
-    smaller than one ulp of `norm` = ||M||inf is moved out to that size, as LAPACK's
-    dlagts does: it is exactly zero where M - value I is singular (the zero matrix)
-    and subnormal where the entries span the float64 range, and the solves would
-    divide by it.  That perturbs the shift by at most one ulp of ||M||.
+    after every solve against the vectors found before it in the same block: that is
+    what separates the members of an exactly degenerate pair, which share one shift
+    (a pair split across the two blocks is orthogonal by parity).  A pivot of U
+    smaller than one ulp of `norm` = ||A||inf of the whole operator is moved out to
+    that size, as LAPACK's dlagts does: it is exactly zero where M - value I is
+    singular (the zero matrix) and subnormal where the entries span the float64
+    range, and the solves would divide by it.  That perturbs the shift by at most
+    one ulp of ||A||.
     """
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
@@ -255,19 +276,96 @@ def _inverse_iteration(
     return vectors
 
 
-def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
-    """Lowest `count` eigenpairs of a grid operator.
+def _mirror_blocks(
+    band: npt.NDArray[np.float64],
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+    """Lower bands of a mirror-symmetric band matrix M on its even and odd vectors.
 
-    The eigenvalues come from the band reduction without its k x k transformation,
+    M[i, j] = M[k-1-i, k-1-j] makes M commute with the reversal J, so in the
+    orthonormal basis (e_i + e_{k-1-i})/sqrt(2) and (e_i - e_{k-1-i})/sqrt(2),
+    i < k // 2, it is block diagonal with blocks M[i, j] + M[i, k-1-j] (even) and
+    M[i, j] - M[i, k-1-j] (odd).  For odd k the centre sample c joins the even block
+    as the unit vector e_c, which scales row and column c of the even formula by
+    1/sqrt(2); odd vectors are 0 there.  The cross term M[i, k-1-j] is nonzero only
+    where i + j >= k-1-w, in the last w rows and columns of each block, so a block
+    keeps half width <= w.  Only the left half of M is read: the symmetric part
+    (M + JMJ)/2 is what the blocks represent.
+    """
+    w, k = band.shape[0] - 1, band.shape[1]
+    half = k // 2
+    blocks = []
+    for sign, n in ((1.0, k - half), (-1.0, half)):
+        width = min(w, n - 1)
+        block = np.zeros((width + 1, n))
+        for d in range(width + 1):
+            block[d, : n - d] = band[d, : n - d]
+            # Entry (j + d, j) gains M[j + d, k-1-j], which lies t = k-1-2j-d >= 0
+            # columns right of the diagonal and is stored at band[t, j + d] for t <= w.
+            j = np.arange(max(0, (k - d - w) // 2), n - d)
+            block[d, j] += sign * band[k - 1 - 2 * j - d, j + d]
+        if n > half:  # odd k: the centre is the last even sample
+            block[np.arange(width + 1), n - 1 - np.arange(width + 1)] *= math.sqrt(0.5)
+            block[0, n - 1] *= math.sqrt(0.5)
+        blocks.append(block)
+    return blocks[0], blocks[1]
+
+
+def _parity_eigenpairs(
+    band: npt.NDArray[np.float64], count: int, norm: float
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+    """Lowest `count` eigenpairs of a mirror-symmetric band, block by mirror block.
+
+    Each block gives its min(count, size) lowest eigenvalues from the band reduction;
+    the two ascending lists are merged (ties to the even block) and the lowest
+    `count` kept, so an unordered block stays unordered for the caller's check.
+    Inverse iteration then runs in each block for the values it won, and the block
+    vectors are unfolded onto all k samples, in the merged order.
+    """
+    import scipy.linalg
+
+    k = band.shape[1]
+    half = k // 2
+    blocks = _mirror_blocks(band)
+    lists = []
+    for side, block in enumerate(blocks):
+        last = min(count, block.shape[1]) - 1
+        lowest = scipy.linalg.eigvals_banded(block, lower=True, select="i", select_range=(0, last))
+        lists.append([(value, side) for value in lowest])
+    merged = list(heapq.merge(*lists))[:count]
+    values = np.array([value for value, _ in merged])
+    sides = np.array([side for _, side in merged])
+    vectors = np.zeros((k, count))
+    for side, (sign, block) in enumerate(zip((1.0, -1.0), blocks)):
+        won = sides == side
+        if not won.any():
+            continue
+        u = _inverse_iteration(block, values[won], norm)
+        folded = u[:half] * math.sqrt(0.5)
+        columns = np.flatnonzero(won)
+        vectors[:half, columns] = folded
+        vectors[k - half :, columns] = sign * folded[::-1]
+        if block.shape[1] > half:
+            vectors[half, columns] = u[half]
+    return values, vectors
+
+
+def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
+    """Lowest `count` eigenpairs of a mirror-symmetric grid operator.
+
+    The operator is solved as its two mirror-parity blocks (see _mirror_blocks),
+    each of about k/2 samples, which quarters the band reduction and halves every
+    LU.  The eigenvalues come from the band reduction without its transformation,
     the eigenvectors from inverse iteration, both in units of the operator's largest
     entry rounded down to a power of two: ||A||inf itself overflows for entries near
     1e307, the squares summed inside a residual norm overflow for residuals near
     1e155, and a factorization of tiny entries would divide by subnormal pivots.
-    Eigenvalues come back ascending with orthonormal eigenvectors in the columns,
-    validated by max|V^T V - I| <= 1e-8 and, pair by pair, by the residual bound
-    ||A v - lambda v|| <= 1e-8 max(||A||inf, 1).
+    Eigenvalues come back ascending with orthonormal eigenvectors on all k samples
+    in the columns, validated against the full band by max|V^T V - I| <= 1e-8 and,
+    pair by pair, by the residual bound ||A v - lambda v|| <= 1e-8 max(||A||inf, 1).
 
     Raises:
+        ValueError: If the operator is not mirror-symmetric, that is if
+            ||A - JAJ||inf, J the reversal of the samples, exceeds that same bound.
         EigensolverError: On LAPACK non-convergence or a failed validity check.
     """
     import scipy.linalg
@@ -281,15 +379,24 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0.0 else 1.0
     band = operator.band / unit
     norm = float(_band_matvec(np.abs(band), np.ones((k, 1))).max())
-    try:
-        values = scipy.linalg.eigvals_banded(
-            band, lower=True, select="i", select_range=(0, count - 1)
+    bound = RESIDUAL_TOLERANCE * max(norm, 1.0 / unit)
+    # The blocks represent (A + JAJ)/2, whose eigenpairs leave residuals of at most
+    # ||A - JAJ||/2 against A: refuse an operator whose skew part would show there.
+    skew = band.copy()
+    for d, row in enumerate(skew):
+        row[: k - d] -= band[d, k - d - 1 :: -1]
+    asymmetry = float(_band_matvec(np.abs(skew), np.ones((k, 1))).max())
+    if not asymmetry <= bound:
+        raise ValueError(
+            f"grid operator is not mirror-symmetric: ||A - JAJ||inf {asymmetry * unit:.3e} "
+            f"exceeds {RESIDUAL_TOLERANCE:.0e} * ||A||"
         )
+    try:
+        values, vectors = _parity_eigenpairs(band, count, max(norm, 1.0))
     except scipy.linalg.LinAlgError as err:
         raise EigensolverError(
             f"eigensolver failed to converge on the {k}-point band operator: {err}"
         ) from err
-    vectors = _inverse_iteration(band, values, max(norm, 1.0))
 
     # Each test is written so that a NaN fails it.
     if not np.all(np.diff(values) >= 0):
@@ -303,7 +410,6 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
             f"eigenvectors off orthonormal by {overlap:.3e} beyond "
             f"{ORTHOGONALITY_TOLERANCE:.0e} for size {k}"
         )
-    bound = RESIDUAL_TOLERANCE * max(norm, 1.0 / unit)
     residuals = _band_matvec(band, vectors) - vectors * values
     worst = float(np.max(np.linalg.norm(residuals, axis=0)))
     if not worst <= bound:
@@ -403,7 +509,8 @@ def verify_dialled(
     if spec is None:
         spec = GridSpec()
     levels_to_check = _as_index(levels_to_check, "level count", 1)
-    if not (np.isfinite(tolerance) and tolerance > 0):
+    tolerance = _as_real(tolerance, "tolerance")
+    if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     count = min(levels_to_check, spec.points)
 

@@ -26,8 +26,8 @@ EPS = np.finfo(np.float64).eps
 
 
 def dense(op):
-    """The full k x k matrix of a grid operator, rebuilt from its lower band."""
-    band = op.band
+    """The full k x k matrix of a grid operator or lower band, rebuilt from the band."""
+    band = op.band if isinstance(op, GridOperator) else op
     k = band.shape[1]
     matrix = np.diag(band[0])
     for d in range(1, band.shape[0]):
@@ -53,6 +53,43 @@ def test_grid_spec_validation():
         GridSpec(half_width=5.0, points=2)
     with pytest.raises(ValueError):
         GridSpec(half_width=math.inf, points=11)
+
+
+NOT_REAL = [True, False, "10", None, 1j, np.bool_(True)]
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=repr)
+def test_grid_float_arguments_refuse_bools_and_non_reals(value):
+    # a bool is not read as 1.0 or 0.0, and a string or None is named, not handed to
+    # numpy's isfinite
+    with pytest.raises(ValueError) as err:
+        GridSpec(half_width=value, points=11)
+    assert str(err.value) == f"half width {value!r} must be a real number"
+    with pytest.raises(ValueError) as err:
+        verify_dialled(IDENTITY, GridSpec(half_width=2.0, points=11), tolerance=value)
+    assert str(err.value) == f"tolerance {value!r} must be a real number"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), 3, np.float32(0.25), np.float64(0.5)],
+                         ids=repr)
+def test_grid_float_arguments_store_any_real_as_float(value):
+    spec = GridSpec(half_width=value, points=11)
+    assert type(spec.half_width) is float and spec.half_width == float(value)
+    assert spec.spacing == 2.0 * float(value) / 10
+    report = verify_dialled(IDENTITY, GridSpec(half_width=2.0, points=11), tolerance=value)
+    assert type(report.tolerance) is float and report.tolerance == float(value)
+
+
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [(math.nan, "half width must be positive and finite, got nan"),
+     (-math.inf, "half width must be positive and finite, got -inf"),
+     (0, "half width must be positive and finite, got 0")],
+)
+def test_grid_half_width_range_messages(value, message):
+    with pytest.raises(ValueError) as err:
+        GridSpec(half_width=value, points=11)
+    assert str(err.value) == message
 
 
 def test_grid_size_limit_is_pinned():
@@ -254,33 +291,33 @@ def test_diagonalize_rejects_a_perturbed_eigenvector(monkeypatch, half_width):
     # also where ||A|| is ~2e303 and its square overflows, and where ||A||inf itself
     # overflows while every entry is finite.
     op = build_oscillator_grid(GridSpec(half_width=half_width, points=51))
-    inverse_iteration = gridverify._inverse_iteration
+    parity_eigenpairs = gridverify._parity_eigenpairs
 
     def rotated(*args, **kwargs):
-        vectors = inverse_iteration(*args, **kwargs)
+        values, vectors = parity_eigenpairs(*args, **kwargs)
         c, s = math.cos(1e-3), math.sin(1e-3)
         v0, v1 = vectors[:, 0].copy(), vectors[:, 1].copy()
         vectors[:, 0], vectors[:, 1] = c * v0 + s * v1, c * v1 - s * v0
-        return vectors
+        return values, vectors
 
-    monkeypatch.setattr(gridverify, "_inverse_iteration", rotated)
+    monkeypatch.setattr(gridverify, "_parity_eigenpairs", rotated)
     with pytest.raises(EigensolverError, match="eigenpair residual"):
         diagonalize(op, 3)
 
 
 def test_diagonalize_scales_without_rounding(monkeypatch):
-    # the band handed to LAPACK is P(A) divided by a power of two, exactly: scaling
-    # by the largest entry itself would add a rounding to every entry
+    # the band folded into the mirror blocks is P(A) divided by a power of two,
+    # exactly: scaling by the largest entry itself would add a rounding to every entry
     op = build_oscillator_grid(GridSpec(half_width=6.0, points=51))
     poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense([Fraction(1, 3)] * 3))
-    eigvals_banded = scipy.linalg.eigvals_banded
+    mirror_blocks = gridverify._mirror_blocks
     seen = []
 
     def spy(band, *args, **kwargs):
         seen.append(band.copy())
-        return eigvals_banded(band, *args, **kwargs)
+        return mirror_blocks(band, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy)
+    monkeypatch.setattr(gridverify, "_mirror_blocks", spy)
     diagonalize(poly, 3)
     (scaled,) = seen
     ratio = np.abs(poly.band).max() / np.abs(scaled).max()
@@ -291,24 +328,25 @@ def test_diagonalize_scales_without_rounding(monkeypatch):
 def test_diagonalize_rejects_a_repeated_eigenvector(monkeypatch):
     # unit norms and small residuals, but not an orthonormal set
     op = build_oscillator_grid(GridSpec(half_width=4.0, points=51))
-    inverse_iteration = gridverify._inverse_iteration
+    parity_eigenpairs = gridverify._parity_eigenpairs
 
     def repeated(*args, **kwargs):
-        vectors = inverse_iteration(*args, **kwargs)
+        values, vectors = parity_eigenpairs(*args, **kwargs)
         vectors[:, 1] = vectors[:, 0]
-        return vectors
+        return values, vectors
 
-    monkeypatch.setattr(gridverify, "_inverse_iteration", repeated)
+    monkeypatch.setattr(gridverify, "_parity_eigenpairs", repeated)
     with pytest.raises(EigensolverError, match="orthonormal"):
         diagonalize(op, 3)
 
 
-@pytest.mark.parametrize("points", [51, 201, 401])
+@pytest.mark.parametrize("points", [51, 52, 200, 201, 401])
 @pytest.mark.parametrize("degree", range(6))
 def test_diagonalize_agrees_with_dense_eigh(degree, points):
     # control: the dense symmetric eigensolver on the rebuilt matrix; degrees 1 and 2
     # have a negative leading coefficient, so their lowest modes are the exactly
-    # degenerate wall pairs
+    # degenerate wall pairs, one mirror-even and one mirror-odd; even point counts
+    # have no centre sample
     op = build_oscillator_grid(GridSpec(half_width=6.0, points=points))
     coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
     poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)]))
@@ -317,6 +355,75 @@ def test_diagonalize_agrees_with_dense_eigh(degree, points):
     got = diagonalize(poly, 9).eigenvalues
     norm = np.linalg.norm(matrix, np.inf)
     assert np.max(np.abs(got - expected)) <= 1e-12 * norm
+
+
+def _mirror_basis(points):
+    """Columns (e_i +- e_{k-1-i})/sqrt(2), i < k // 2, and e_c for odd k: even, odd."""
+    half = points // 2
+    even, odd = np.zeros((points, points - half)), np.zeros((points, half))
+    for i in range(half):
+        even[i, i] = even[points - 1 - i, i] = odd[i, i] = math.sqrt(0.5)
+        odd[points - 1 - i, i] = -math.sqrt(0.5)
+    if points % 2:
+        even[half, half] = 1.0
+    return even, odd
+
+
+@pytest.mark.parametrize("points", [3, 4, 5, 6, 11, 12, 52, 53])
+@pytest.mark.parametrize("degree", range(6))
+def test_mirror_blocks_are_the_compressions_onto_each_parity(degree, points):
+    # reference: Q^T M Q on the dense matrix for the orthonormal even and odd bases;
+    # the folded band rounds once per cross term and once per sqrt(1/2) scaling
+    op = build_oscillator_grid(GridSpec(half_width=6.0, points=points))
+    coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
+    poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)]))
+    matrix = dense(poly)
+    for basis, block in zip(_mirror_basis(points), gridverify._mirror_blocks(poly.band)):
+        expected = basis.T @ matrix @ basis
+        assert np.max(np.abs(dense(block) - expected)) <= 4 * EPS * np.abs(matrix).max()
+
+
+@pytest.mark.parametrize(
+    ("points", "coeffs"),
+    [pytest.param(points, coeffs, id=f"{points}-{'/'.join(coeffs)}")
+     for points in (3, 4) for coeffs in (["1"], ["-13/2", "1"], ["1", "0", "-1"])]
+    + [pytest.param(51, ["0"], id="51-zero")],
+)
+def test_diagonalize_returns_every_eigenpair(points, coeffs):
+    # count = k takes every eigenpair of both blocks; the zero polynomial makes every
+    # shift exactly singular, so each block must still give an orthonormal basis
+    op = build_oscillator_grid(GridSpec(half_width=2.0, points=points))
+    poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense([Fraction(c) for c in coeffs]))
+    sol = diagonalize(poly, points)
+    expected = scipy.linalg.eigvalsh(dense(poly))
+    assert np.max(np.abs(sol.eigenvalues - expected)) <= 1e-13 * max(np.abs(expected).max(), 1)
+    vectors = sol.eigenvectors
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(points))) <= 1e-12
+    parities = [1 if np.array_equal(v[::-1], v) else -1 if np.array_equal(v[::-1], -v) else 0
+                for v in vectors.T]
+    assert parities.count(1) == points - points // 2 and parities.count(-1) == points // 2
+
+
+@pytest.mark.parametrize("points", [400, 401])
+def test_oscillator_node_counts_at_odd_and_even_grids(points):
+    report = verify_dialled(IDENTITY, GridSpec(half_width=10.0, points=points))
+    assert report.node_sequence == tuple(range(9))
+    assert report.passed
+
+
+@pytest.mark.parametrize(("relative", "refused"), [(1e-10, False), (1e-6, True)])
+def test_diagonalize_refuses_an_operator_that_is_not_mirror_symmetric(relative, refused):
+    # one end-diagonal entry moved: the mirror blocks would answer for the symmetric
+    # part only, so a skew part beyond the residual bound is refused, not answered
+    op = build_oscillator_grid(GridSpec(half_width=10.0, points=101))
+    band = op.band.copy()
+    band[0, 0] *= 1.0 + relative
+    skewed = GridOperator(op.spec, band)
+    if refused:
+        with pytest.raises(ValueError, match="grid operator is not mirror-symmetric"):
+            diagonalize(skewed, 3)
+    else:
+        assert diagonalize(skewed, 3).eigenvalues[0] == pytest.approx(0.5, abs=1e-3)
 
 
 # ----------------------------------------------------------------- node count

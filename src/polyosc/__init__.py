@@ -13,9 +13,9 @@ import importlib
 
 # Submodule -> the names it exports, in `__all__` order.
 _EXPORTS = {
-    "exactalg": ("EnergyMatrix", "PolynomialHamiltonian", "SingularMatrixError",
-                 "SpectrumTarget", "build_energy_matrix", "determinant",
-                 "determinant_closed_form", "dial", "dial_partial", "solve_linear_exact"),
+    "exactalg": ("EnergyMatrix", "PolynomialHamiltonian", "SpectrumTarget",
+                 "build_energy_matrix", "determinant", "determinant_closed_form", "dial",
+                 "dial_partial", "solve_linear_exact"),
     "gridverify": ("EigensolverError", "GridEigenSolution", "GridOperator", "GridSpec",
                    "LevelCheck", "VerificationReport", "build_oscillator_grid",
                    "count_nodes", "diagonalize", "matrix_polynomial", "verify_dialled"),

@@ -2,13 +2,14 @@
 
 All fraction input and output is exact: energies and coefficients travel as 'p/q'
 or finite-decimal strings (or JSON integers) and parse back to the same rationals.
-Binary floats, booleans, non-integer levels or powers, and counts or sizes below
-their least value are refused by the library (exact rationals in exactalg, every
-integer by oscillator._as_index), which this module leaves every value check to.
-Output is deterministic byte for byte for identical invocations.
+Every integer on the command line is read as ASCII decimal digits.  Binary floats,
+booleans, non-integer levels or powers, and counts or sizes below their least value
+are refused by the library (exact rationals in exactalg, every integer by
+oscillator._as_index), which this module leaves every value check to.  Output is
+deterministic byte for byte for identical invocations.
 
-Exit codes: 0 success, 2 malformed or out-of-range input, 3 singular stripped
-system, 4 verification failure, 5 eigensolver non-convergence, 6 unwritable output path.
+Exit codes: 0 success, 2 malformed or out-of-range input, 4 verification failure,
+5 eigensolver non-convergence, 6 unwritable output path; 3 is unused.
 
 Only `verify` and `figure` import the grid module, and with it numpy; scipy loads
 only when `verify` calls the eigensolver.
@@ -24,7 +25,6 @@ from pathlib import Path
 from . import EigensolverError
 from .exactalg import (
     PolynomialHamiltonian,
-    SingularMatrixError,
     SpectrumTarget,
     _as_fraction,
     build_energy_matrix,
@@ -42,7 +42,6 @@ from .spectrum import (
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_SINGULAR = 3
 EXIT_VERIFY = 4
 EXIT_EIGEN = 5
 EXIT_WRITE = 6
@@ -64,6 +63,17 @@ def _parse_decimal(text: str, what: str) -> int:
     if _DECIMAL.fullmatch(text) is None:
         raise ValueError(f"{what} {text!r} is not a decimal integer")
     return int(text)
+
+
+def _decimal_option(what: str):
+    """An argparse type reading one wire integer; a refusal is a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            return _parse_decimal(text, what)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return parse
 
 
 def _parse_targets_inline(text: str) -> SpectrumTarget:
@@ -411,6 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and verify it on a grid.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    level_count = _decimal_option("level count")
+    grid_points = _decimal_option("grid points")
 
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -421,20 +433,23 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--targets", help="inline targets, e.g. '0:-3,1:-15/2'")
     group.add_argument("--request", help="path to a JSON request file")
     p_dial.add_argument("--drop-powers", help="comma-separated h-powers to strip, e.g. '3'")
-    p_dial.add_argument("--levels", type=int, help="levels of induced spectrum to print")
+    p_dial.add_argument("--levels", type=level_count, help="levels of induced spectrum to print")
     add_format(p_dial)
     p_dial.set_defaults(func=cmd_dial)
 
     p_spec = sub.add_parser("spectrum", help="exact spectrum and ordering of a polynomial")
     p_spec.add_argument("--coeffs", required=True, help="dense coefficients a_1,a_2,...")
-    p_spec.add_argument("--levels", type=int, help="number of levels (default max(N, 9))")
+    p_spec.add_argument("--levels", type=level_count,
+                        help="number of levels (default max(N, 9))")
     add_format(p_spec)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_verify = sub.add_parser("verify", help="grid cross-check of spectrum and node ordering")
     p_verify.add_argument("--coeffs", required=True, help="dense coefficients a_1,a_2,...")
-    p_verify.add_argument("--levels", type=int, default=9, help="levels to check (default 9)")
-    p_verify.add_argument("--grid-points", type=int, default=1001, help="grid samples (default 1001)")
+    p_verify.add_argument("--levels", type=level_count, default=9,
+                          help="levels to check (default 9)")
+    p_verify.add_argument("--grid-points", type=grid_points, default=1001,
+                          help="grid samples (default 1001)")
     p_verify.add_argument("--half-width", type=float, default=10.0,
                           help="grid half width (default 10)")
     add_format(p_verify)
@@ -442,8 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="emit spectrum, cross-section, and eigenfunction files")
     p_fig.add_argument("--coeffs", required=True, help="dense coefficients a_1,a_2,...")
-    p_fig.add_argument("--levels", type=int, help="levels to draw (default max(N, 9))")
-    p_fig.add_argument("--grid-points", type=int, default=601, help="x samples (default 601)")
+    p_fig.add_argument("--levels", type=level_count, help="levels to draw (default max(N, 9))")
+    p_fig.add_argument("--grid-points", type=grid_points, default=601,
+                       help="x samples (default 601)")
     p_fig.add_argument("--half-width", type=float, default=6.0,
                        help="x range half width (default 6)")
     p_fig.add_argument("--out", default=".", help="output directory (default current)")
@@ -451,17 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_figure)
 
     p_det = sub.add_parser("det", help="energy-matrix determinant vs the closed form")
-    p_det.add_argument("size", type=int, help="matrix size N")
+    p_det.add_argument("size", type=_decimal_option("matrix size"), help="matrix size N")
     add_format(p_det)
     p_det.set_defaults(func=cmd_det)
 
     return parser
 
 
-# Exception -> (exit code, message); the first match wins, so SingularMatrixError
-# stays ahead of its base ValueError.  OverflowError: e.g. float(Fraction) > 1.8e308.
+# Exception -> (exit code, message).  OverflowError: e.g. float(Fraction) > 1.8e308.
 _EXIT_CODES = {
-    SingularMatrixError: (EXIT_SINGULAR, "{}"),
     EigensolverError: (EXIT_EIGEN, "{}"),
     ValueError: (EXIT_PARSE, "{}"),
     OverflowError: (EXIT_PARSE, "value beyond float64 range ({})"),

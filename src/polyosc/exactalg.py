@@ -13,7 +13,11 @@ here is exact.  With powers 1..N, row n is h_n (1, h_n, ..., h_n^{N-1}), so the
 system is polynomial interpolation of E_n / h_n at the distinct positive nodes h_n,
 solved by Newton divided differences in O(N^2) (Bjorck and Pereyra, Math. Comp. 24,
 1970).  Every other power list goes through fraction-free (Bareiss) elimination of
-the integer rows, which `determinant` also uses.  Either way the solution is
+the integer rows, which `determinant` also uses.  It needs no pivoting: with
+0 < h_0 < h_1 < ... and distinct powers, a generalized Vandermonde matrix with its
+powers sorted is strictly totally positive (Gantmacher and Krein, 1950; Karlin,
+1968), so every leading minor in the given row and column order is nonzero, with
+the sign of the permutation that sorts its columns.  Either way the solution is
 substituted back into every integer row, so a coefficient vector returned by
 `solve_linear_exact`, `dial` or `dial_partial` reproduces the requested energies
 with zero residual.
@@ -26,10 +30,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .oscillator import _as_index, oscillator_energy
-
-
-class SingularMatrixError(ValueError):
-    """Raised when elimination cannot find a nonzero pivot."""
 
 
 def _as_fraction(value) -> Fraction:
@@ -69,7 +69,8 @@ class EnergyMatrix:
 
     Attributes:
         levels: Oscillator level labelling each row; non-negative, strictly increasing.
-        column_powers: h-power labelling each column, one per level; each >= 1, in any order.
+        column_powers: h-power labelling each column, one per level; each >= 1, distinct,
+            in any order.
     """
 
     levels: tuple[int, ...]
@@ -83,6 +84,10 @@ class EnergyMatrix:
                 f"energy matrix must be square and non-empty, got {len(levels)}x{len(powers)}"
             )
         _check_increasing(levels, "levels")
+        # A repeated power is the only way to a singular matrix (see the module docstring).
+        if len(set(powers)) != len(powers):
+            repeated = next(j for j in powers if powers.count(j) > 1)
+            raise ValueError(f"column power {repeated} is repeated")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "column_powers", powers)
 
@@ -170,34 +175,15 @@ def _integer_rows(matrix: EnergyMatrix) -> list[list[int]]:
     return [[(2 * n + 1) ** j << (top - j) for j in matrix.column_powers] for n in matrix.levels]
 
 
-def _forward_eliminate(m: list[list[int]], powers: Sequence[int]) -> int:
-    """Fraction-free (Bareiss) elimination of one column per h-power, in place.
+def _forward_eliminate(m: list[list[int]], n: int) -> None:
+    """Fraction-free (Bareiss) elimination of the first n columns, in place, unpivoted.
 
-    Rows may be wider than `powers` (augmented columns ride along).  Pivots are the
-    largest-magnitude entries for modest integer growth; the division in each
-    update is exact by Sylvester's identity.
-
-    Returns:
-        +1 or -1 for the row-swap parity.
-
-    Raises:
-        SingularMatrixError: If a pivot column contains only zeros.
+    Rows may be wider than n (augmented columns ride along).  Afterwards m[k][k] is
+    the leading (k+1) x (k+1) minor of the integer rows, nonzero for an energy matrix,
+    and the division in each update is exact by Sylvester's identity.
     """
-    sign = 1
     prev = 1
-    for k, power in enumerate(powers):
-        pivot_row = max(
-            (r for r in range(k, len(m)) if m[r][k] != 0),
-            key=lambda r: abs(m[r][k]),
-            default=None,
-        )
-        if pivot_row is None:
-            raise SingularMatrixError(
-                f"matrix is singular: no pivot available in the h^{power} column"
-            )
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
+    for k in range(n):
         piv = m[k][k]
         for r in range(k + 1, len(m)):
             factor = m[r][k]
@@ -205,22 +191,19 @@ def _forward_eliminate(m: list[list[int]], powers: Sequence[int]) -> int:
             for c in range(k, len(row)):
                 row[c] = (piv * row[c] - factor * m[k][c]) // prev
         prev = piv
-    return sign
 
 
 def determinant(matrix: EnergyMatrix) -> Fraction:
-    """Exact determinant by fraction-free elimination (0 for a singular matrix).
+    """Exact determinant by unpivoted fraction-free elimination.
 
-    The integer rows are the matrix times 2^top, so their determinant is 2^(n top)
-    times the one returned.
+    It is never zero, and its sign is that of the permutation sorting the column
+    powers (see the module docstring).  The integer rows are the matrix times 2^top,
+    so their determinant is 2^(n top) times the one returned.
     """
     n = matrix.n_rows
     m = _integer_rows(matrix)
-    try:
-        sign = _forward_eliminate(m, matrix.column_powers)
-    except SingularMatrixError:
-        return Fraction(0)
-    return Fraction(sign * m[n - 1][n - 1], 2 ** (n * max(matrix.column_powers)))
+    _forward_eliminate(m, n)
+    return Fraction(m[n - 1][n - 1], 2 ** (n * max(matrix.column_powers)))
 
 
 def determinant_closed_form(n: int) -> Fraction:
@@ -242,8 +225,6 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
     elimination of the integer rows.  `rhs` holds one exact rational per row.
 
     Raises:
-        SingularMatrixError: If the matrix is singular, which takes a repeated power;
-            the message names the h-power of the pivot column where elimination failed.
         RuntimeError: If the solution misses an equation on substitution (an internal
             fault, never a property of the input); the message names its level.
     """
@@ -263,7 +244,7 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
         # 2^top b_i, written as integers over the common denominator of b.
         b_nums, b_den = _common_denominator(b)
         m = [row + [c << top] for row, c in zip(rows, b_nums)]
-        _forward_eliminate(m, matrix.column_powers)
+        _forward_eliminate(m, n)
         x = [Fraction(0)] * n
         for i in range(n - 1, -1, -1):
             acc = Fraction(m[i][n], b_den)
@@ -344,11 +325,6 @@ def dial_partial(
 
     Returns:
         A polynomial with one term per retained power.
-
-    Raises:
-        SingularMatrixError: Never for valid input: a stripped energy matrix is a
-            generalized Vandermonde matrix in the distinct positive h_n, so it is
-            never singular.
     """
     k = len(target.pairs)
     if drop_powers is None:

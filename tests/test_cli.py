@@ -8,7 +8,6 @@ import pytest
 
 import polyosc.cli as cli
 from polyosc import EigensolverError
-from polyosc.exactalg import SingularMatrixError
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -206,16 +205,6 @@ def test_dial_partial_via_noncontiguous_targets(capsys):
     assert lines[1] == "1,23/10,2.3"
     assert lines[2] == "2,-3/5,-0.6"
     assert "1,3/2,21/10,2.1,1" in lines  # implied middle level
-
-
-def test_dial_singular_exit_code(capsys, monkeypatch):
-    def boom(target, drop_powers=None):
-        raise SingularMatrixError("no pivot available in the h^2 column")
-
-    monkeypatch.setattr(cli, "dial_partial", boom)
-    code, _, err = run_cli(capsys, "dial", "--targets", "0:1,1:2")
-    assert code == 3
-    assert "h^2" in err
 
 
 def test_argparse_usage_errors_exit_2(capsys):
@@ -608,7 +597,41 @@ def test_value_beyond_float64_exits_2(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
 
 
-# command line -> the library's refusal; the CLI checks neither --levels nor the det size
+# command line -> argparse's refusal: every integer option is ASCII decimal digits, where
+# int() alone would read '1_0' as 10 and a fullwidth or Arabic-Indic digit as itself
+NOT_DECIMAL = {
+    "spectrum --coeffs 1 --levels 1_0": "argument --levels: level count '1_0'",
+    "spectrum --coeffs 1 --levels x": "argument --levels: level count 'x'",
+    "dial --targets 0:1 --levels \u0663": "argument --levels: level count '\u0663'",
+    "figure --coeffs 1 --levels 3. --out OUT": "argument --levels: level count '3.'",
+    "verify --coeffs 1 --levels 0x3": "argument --levels: level count '0x3'",
+    "verify --coeffs 1 --levels 3 --grid-points 1_01": "argument --grid-points: grid points '1_01'",
+    "figure --coeffs 1 --grid-points 1e2 --out OUT": "argument --grid-points: grid points '1e2'",
+    "det \uff13": "argument size: matrix size '\uff13'",
+    "det 1_0": "argument size: matrix size '1_0'",
+}
+
+
+@pytest.mark.parametrize("line", list(NOT_DECIMAL))
+def test_integer_options_refuse_anything_but_ascii_decimals(capsys, tmp_path, line):
+    argv = [str(tmp_path / "fig") if arg == "OUT" else arg for arg in line.split()]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f": error: {NOT_DECIMAL[line]} is not a decimal integer\n")
+    assert not (tmp_path / "fig").exists()
+
+
+def test_integer_options_accept_padded_decimals(capsys):
+    plain = run_cli(capsys, "spectrum", "--coeffs=1", "--levels", "3")
+    assert run_cli(capsys, "spectrum", "--coeffs=1", "--levels", " +3 ") == plain
+    assert plain[0] == 0 and len(plain[1].splitlines()) == 7
+    assert run_cli(capsys, "det", " 5 ") == run_cli(capsys, "det", "5")
+
+
+# command line -> the library's refusal; the CLI reads --levels, --grid-points and the
+# det size as decimals but leaves their range to the library
 COUNTS_BELOW_LEAST = {
     "det 0": "matrix size 0 must be >= 1",
     "det -3": "matrix size -3 must be >= 1",

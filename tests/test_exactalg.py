@@ -9,7 +9,6 @@ from polyosc import exactalg
 from polyosc.exactalg import (
     EnergyMatrix,
     PolynomialHamiltonian,
-    SingularMatrixError,
     SpectrumTarget,
     build_energy_matrix,
     determinant,
@@ -213,8 +212,10 @@ def test_energy_matrix_validation():
         build_energy_matrix(range(2), [0, 1])
     with pytest.raises(ValueError, match="column power -2 must be >= 1"):
         EnergyMatrix(levels=(0,), column_powers=(-2,))
-    # order and repeats of powers stay allowed; a repeat makes the matrix singular
-    assert build_energy_matrix(range(2), [2, 2]).column_powers == (2, 2)
+    # powers in any order stay allowed; a repeat, the one way to a singular matrix, is not
+    assert build_energy_matrix(range(2), [2, 1]).column_powers == (2, 1)
+    with pytest.raises(ValueError, match="column power 2 is repeated"):
+        build_energy_matrix(range(2), [2, 2])
 
 
 # ------------------------------------------------------------------ determinant
@@ -248,8 +249,11 @@ def test_determinant_closed_form_matches_elimination_to_n12():
 
 
 def test_determinant_singular_and_nonsquare():
-    assert determinant(build_energy_matrix(range(2), (2, 2))) == 0
-    assert determinant(build_energy_matrix([1, 3, 4], (1, 3, 1))) == 0
+    # a singular energy matrix takes a repeated power, refused at construction
+    with pytest.raises(ValueError, match="column power 2 is repeated"):
+        determinant(build_energy_matrix(range(2), (2, 2)))
+    with pytest.raises(ValueError, match="column power 1 is repeated"):
+        determinant(build_energy_matrix([1, 3, 4], (1, 3, 1)))
     with pytest.raises(ValueError):
         wide = build_energy_matrix(range(2), range(1, 4))
         determinant(wide)
@@ -257,7 +261,7 @@ def test_determinant_singular_and_nonsquare():
 
 def test_determinant_random_gapped_energy_matrices():
     # Bareiss vs cofactor on gapped levels and shuffled powers: the shuffles flip the
-    # sign and move the largest pivot, so both pivoting and sign tracking are checked.
+    # sign, which unpivoted elimination must carry through its leading minors.
     rng = random.Random(99)
     signs = set()
     for _ in range(60):
@@ -279,23 +283,46 @@ def test_solve_linear_exact_known_system():
 
 
 def test_solve_linear_exact_singular_names_column():
-    # a repeated power leaves the second of its columns without a pivot
-    matrix = build_energy_matrix(range(2), (3, 3))
-    with pytest.raises(SingularMatrixError) as err:
-        solve_linear_exact(matrix, (Fraction(1), Fraction(2)))
-    assert str(err.value) == "matrix is singular: no pivot available in the h^3 column"
-    matrix = build_energy_matrix([0, 2, 5], (1, 2, 1))
-    with pytest.raises(SingularMatrixError, match=r"h\^1 column"):
+    # a repeated power, the one way to a singular system, is refused by name before any solve
+    with pytest.raises(ValueError) as err:
+        solve_linear_exact(build_energy_matrix(range(2), (3, 3)), (Fraction(1), Fraction(2)))
+    assert str(err.value) == "column power 3 is repeated"
+    with pytest.raises(ValueError, match="^column power 1 is repeated$"):
+        matrix = build_energy_matrix([0, 2, 5], (1, 2, 1))
         solve_linear_exact(matrix, (Fraction(1), Fraction(2), Fraction(3)))
+
+
+def test_leading_minors_are_nonzero_with_the_sign_of_the_column_order():
+    # Total positivity, on which unpivoted elimination rests: with gapped levels and
+    # distinct powers in random order, each leading k x k minor is nonzero with the
+    # sign of the permutation sorting its k powers, and so is the determinant.
+    def sorting_sign(powers):
+        inversions = sum(a > b for i, a in enumerate(powers) for b in powers[i + 1:])
+        return -1 if inversions % 2 else 1
+
+    rng = random.Random(7919)
+    signs = set()
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        levels = sorted(rng.sample(range(3 * n), n))
+        powers = rng.sample(range(1, 2 * n + 2), n)
+        rows = energy_rows(levels, powers)
+        for k in range(1, n + 1):
+            minor = cofactor_det([row[:k] for row in rows[:k]])
+            assert minor * sorting_sign(powers[:k]) > 0
+        det = determinant(build_energy_matrix(levels, powers))
+        assert det * sorting_sign(powers) > 0 and det == minor
+        signs.add(sorting_sign(powers))
+    assert signs == {1, -1}
 
 
 def counting_eliminations(monkeypatch):
     calls = []
     forward = exactalg._forward_eliminate
 
-    def counted(m, powers):
-        calls.append(len(powers))
-        return forward(m, powers)
+    def counted(m, n):
+        calls.append(n)
+        return forward(m, n)
 
     monkeypatch.setattr(exactalg, "_forward_eliminate", counted)
     return calls
@@ -349,10 +376,9 @@ def test_solve_linear_exact_residual_check_catches_a_wrong_interpolant(monkeypat
 def test_solve_linear_exact_residual_check_catches_a_wrong_elimination(monkeypatch):
     forward = exactalg._forward_eliminate
 
-    def off_by_one(m, powers):
-        sign = forward(m, powers)
+    def off_by_one(m, n):
+        forward(m, n)
         m[-1][-1] += 1  # the last row's right-hand side, after elimination
-        return sign
 
     monkeypatch.setattr(exactalg, "_forward_eliminate", off_by_one)
     matrix = build_energy_matrix([0, 2, 3], (1, 2, 4))
@@ -437,11 +463,10 @@ def test_back_check_catches_a_perturbed_coefficient(monkeypatch):
     forward = exactalg._forward_eliminate
     calls = []
 
-    def off_in_last_row(m, powers):
-        sign = forward(m, powers)
+    def off_in_last_row(m, n):
+        forward(m, n)
         calls.append(len(m))
         m[-1][-1] += 1  # the last right-hand side, which fixes the highest retained power
-        return sign
 
     rng = random.Random(1212)
     pairs = tuple((lvl, Fraction(rng.randrange(-999, 999), rng.randrange(1, 99)))

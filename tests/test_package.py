@@ -11,7 +11,6 @@ import polyosc
 PUBLIC = [
     "EnergyMatrix",
     "PolynomialHamiltonian",
-    "SingularMatrixError",
     "SpectrumTarget",
     "build_energy_matrix",
     "determinant",
@@ -43,10 +42,10 @@ PUBLIC = [
 ]
 
 HOMES = {
-    "exactalg": PUBLIC[0:10],
-    "gridverify": PUBLIC[10:21],
-    "oscillator": PUBLIC[21:24],
-    "spectrum": PUBLIC[24:30],
+    "exactalg": PUBLIC[0:9],
+    "gridverify": PUBLIC[9:20],
+    "oscillator": PUBLIC[20:23],
+    "spectrum": PUBLIC[23:29],
 }
 
 

@@ -2,10 +2,12 @@
 
 All fraction input and output is exact: energies and coefficients travel as 'p/q'
 or finite-decimal strings (or JSON integers) and parse back to the same rationals.
-Every integer on the command line is read as ASCII decimal digits.  Binary floats,
-booleans, non-integer levels or powers, and counts or sizes below their least value
-are refused by the library (exact rationals in exactalg, every integer by
-oscillator._as_index), which this module leaves every value check to.  Output is
+Every number on the command line or in a request file is read in ASCII, without
+digit separators: integers as decimal digits, energies, coefficients and the half
+width as exact rationals, the half width then rounded once to float64.  Binary
+floats, booleans, non-integer levels or powers, and counts or sizes below their
+least value are refused by the library (exact rationals in exactalg, every integer
+by oscillator._as_index), which this module leaves every value check to.  Output is
 deterministic byte for byte for identical invocations.
 
 Exit codes: 0 success, 2 malformed or out-of-range input, 4 verification failure,
@@ -65,15 +67,30 @@ def _parse_decimal(text: str, what: str) -> int:
     return int(text)
 
 
-def _decimal_option(what: str):
-    """An argparse type reading one wire integer; a refusal is a usage error (exit 2)."""
-    def parse(text: str) -> int:
+def _parse_real(text: str) -> float:
+    # Read exactly, then rounded once to float64; beyond its range that is an infinity,
+    # as float('1e400') is, for GridSpec to refuse by name.
+    value = parse_rational(text)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _option(parse):
+    """An argparse type applying `parse`; a refusal is a usage error (exit 2)."""
+    def read(text: str):
         try:
-            return _parse_decimal(text, what)
+            return parse(text)
         except ValueError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
 
-    return parse
+    return read
+
+
+def _decimal_option(what: str):
+    """An argparse type reading one wire integer."""
+    return _option(lambda text: _parse_decimal(text, what))
 
 
 def _parse_targets_inline(text: str) -> SpectrumTarget:
@@ -423,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     level_count = _decimal_option("level count")
     grid_points = _decimal_option("grid points")
+    half_width = _option(_parse_real)
 
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -450,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="levels to check (default 9)")
     p_verify.add_argument("--grid-points", type=grid_points, default=1001,
                           help="grid samples (default 1001)")
-    p_verify.add_argument("--half-width", type=float, default=10.0,
+    p_verify.add_argument("--half-width", type=half_width, default=10.0,
                           help="grid half width (default 10)")
     add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
@@ -460,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--levels", type=level_count, help="levels to draw (default max(N, 9))")
     p_fig.add_argument("--grid-points", type=grid_points, default=601,
                        help="x samples (default 601)")
-    p_fig.add_argument("--half-width", type=float, default=6.0,
+    p_fig.add_argument("--half-width", type=half_width, default=6.0,
                        help="x range half width (default 6)")
     p_fig.add_argument("--out", default=".", help="output directory (default current)")
     add_format(p_fig)

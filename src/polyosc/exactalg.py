@@ -35,11 +35,15 @@ from .oscillator import _as_index, oscillator_energy
 def _as_fraction(value) -> Fraction:
     # The one check of an exact rational, as oscillator._as_index is of an integer.  A
     # binary float is refused, since 0.1 is never meant as 3602879701896397/36028797018963968,
-    # and so is a bool.  Every other refusal, a zero denominator or None included, is a
-    # ValueError naming the value.
+    # and so is a bool.  A string is read in ASCII without digit separators: Fraction
+    # also takes non-ASCII digits, and '1_0' as 10 on Python 3.11 but not on 3.10.
+    # Every other refusal, a zero denominator or None included, is a ValueError naming
+    # the value.
     if isinstance(value, (float, bool)):
         raise ValueError(f"expected an exact rational, got {type(value).__name__} {value!r}; "
                          "pass a Fraction, an int, or a 'p/q' string")
+    if isinstance(value, str) and (not value.isascii() or "_" in value):
+        raise ValueError(f"cannot parse {value!r} as an exact rational")
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -440,42 +440,6 @@ def count_nodes(vector: npt.NDArray[np.float64]) -> int:
     return int(np.sum(signs[:-1] != signs[1:]))
 
 
-def _error_budget_warning(
-    ham: PolynomialHamiltonian, spec: GridSpec, levels_to_check: int, tolerance: float
-) -> str | None:
-    """Crude a-priori bound on grid error versus the verification tolerance.
-
-    Discretization: the stencil shifts the oscillator level h by about
-    dx^4 <p^6>/180 with <p^6> of order (2h)^3, and the polynomial amplifies that by
-    |P'| <= degree * max|a_j| * h^(degree-1).  Roundoff: forming P(A) in floats
-    perturbs every eigenvalue by about machine epsilon times ||P(A)||.
-    """
-    dense = [abs(float(c)) for c in ham.dense_coefficients()]
-    degree = ham.degree
-    if degree == 0:
-        return None
-    dx = spec.spacing
-    h_top = levels_to_check - 0.5
-    # Products, not `**`: a float64 product saturates at inf where `**` raises.
-    grid_shift = dx * dx * dx * dx * (2.0 * h_top) ** 3 / 180.0
-    disc = degree * max(dense)
-    for _ in range(degree - 1):
-        disc *= h_top
-    disc *= grid_shift
-    mu_max = 8.0 / (3.0 * dx * dx) + 0.5 * spec.half_width * spec.half_width
-    horner = 0.0  # sum_j |a_j| mu_max^(j+1) by Horner on the dense |a_j|
-    for c in reversed(dense):
-        horner = (horner + c) * mu_max
-    roundoff = np.finfo(float).eps * horner
-    if disc + roundoff <= tolerance:
-        return None
-    return (
-        f"estimated grid error {disc + roundoff:.2e} (discretization {disc:.2e}, "
-        f"roundoff {roundoff:.2e}) exceeds tolerance {tolerance:.0e}; "
-        "raise the grid resolution or the tolerance"
-    )
-
-
 def verify_dialled(
     ham: PolynomialHamiltonian,
     spec: GridSpec | None = None,
@@ -563,7 +527,6 @@ def verify_dialled(
         if leading < 0
         else None
     )
-    budget = _error_budget_warning(ham, spec, count, tolerance)
     passed = (
         unbounded is None
         and all(c.within_tolerance for c in checks)
@@ -577,6 +540,6 @@ def verify_dialled(
         node_sequence=node_sequence,
         sequence_matches=sequence_matches,
         degenerate=degenerate,
-        warning="; ".join(w for w in (unbounded, budget) if w) or None,
+        warning=unbounded,
         passed=passed,
     )

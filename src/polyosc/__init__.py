@@ -19,7 +19,7 @@ _EXPORTS = {
     "gridverify": ("EigensolverError", "GridEigenSolution", "GridOperator", "GridSpec",
                    "LevelCheck", "VerificationReport", "build_oscillator_grid",
                    "count_nodes", "diagonalize", "matrix_polynomial", "verify_dialled"),
-    "oscillator": ("analytic_node_count", "eigenfunction_samples", "oscillator_energy"),
+    "oscillator": ("eigenfunction_samples", "oscillator_energy"),
     "spectrum": ("LevelRecord", "OrderingReport", "classical_cross_section",
                  "evaluate_polynomial", "evaluate_spectrum", "ordering_report"),
 }

@@ -4,11 +4,12 @@ All fraction input and output is exact: energies and coefficients travel as 'p/q
 or finite-decimal strings (or JSON integers) and parse back to the same rationals.
 Every number on the command line or in a request file is read in ASCII, without
 digit separators: integers as decimal digits, energies, coefficients and the half
-width as exact rationals, the half width then rounded once to float64.  Binary
+width as exact rationals; GridSpec rounds the half width once to float64.  Binary
 floats, booleans, non-integer levels or powers, and counts or sizes below their
 least value are refused by the library (exact rationals in exactalg, every integer
 by oscillator._as_index), which this module leaves every value check to.  Output is
-deterministic byte for byte for identical invocations.
+deterministic byte for byte for identical invocations, and exact values print in
+full at any length.
 
 Exit codes: 0 success, 2 malformed or out-of-range input, 4 verification failure,
 5 eigensolver non-convergence, 6 unwritable output path; 3 is unused.
@@ -67,16 +68,6 @@ def _parse_decimal(text: str, what: str) -> int:
     return int(text)
 
 
-def _parse_real(text: str) -> float:
-    # Read exactly, then rounded once to float64; beyond its range that is an infinity,
-    # as float('1e400') is, for GridSpec to refuse by name.
-    value = parse_rational(text)
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _option(parse):
     """An argparse type applying `parse`; a refusal is a usage error (exit 2)."""
     def read(text: str):
@@ -103,7 +94,7 @@ def _parse_targets_inline(text: str) -> SpectrumTarget:
     return SpectrumTarget(tuple(pairs))
 
 
-def _parse_request_payload(payload) -> tuple[SpectrumTarget, list | None]:
+def _parse_request_payload(payload) -> tuple[SpectrumTarget, list]:
     # JSON shape only: SpectrumTarget and dial_partial refuse values of the wrong type.
     if not isinstance(payload, dict):
         raise ValueError("request must be a JSON object")
@@ -118,7 +109,7 @@ def _parse_request_payload(payload) -> tuple[SpectrumTarget, list | None]:
     drop = payload.get("drop_powers")
     if drop is not None and not isinstance(drop, list):
         raise ValueError("'drop_powers' must be a list of integers")
-    return SpectrumTarget(tuple(pairs)), drop
+    return SpectrumTarget(tuple(pairs)), drop or []
 
 
 def _parse_coeffs(text: str) -> PolynomialHamiltonian:
@@ -187,7 +178,7 @@ def _spectrum_body(records: tuple[LevelRecord, ...]) -> dict:
                 "oscillator_energy": str(oscillator_energy(rec.level)),
                 "energy": str(rec.energy),
                 "decimal": float(rec.energy),
-                "node_count": rec.node_count,
+                "node_count": rec.level,
             }
             for rec in records
         ],
@@ -224,7 +215,7 @@ def cmd_dial(args: argparse.Namespace) -> int:
             raise ValueError(f"cannot read request file: {err}") from None
         target, drop = _parse_request_payload(json.loads(raw))
     else:
-        target, drop = _parse_targets_inline(args.targets), None
+        target, drop = _parse_targets_inline(args.targets), []
     if args.drop_powers is not None:
         drop = _parse_drop_powers(args.drop_powers)
 
@@ -275,9 +266,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "tolerance": report.tolerance,
         "levels": [
             {
-                "position": c.position,
+                "position": position,
                 "grid_eigenvalue": c.grid_eigenvalue,
-                "node_count": c.node_count,
+                "node_count": report.node_sequence[position],
                 "matched_level": c.matched_level,
                 "analytic_energy": str(c.analytic_energy),
                 "analytic_decimal": float(c.analytic_energy),
@@ -285,7 +276,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "rel_error": c.rel_error,
                 "within_tolerance": c.within_tolerance,
             }
-            for c in report.checks
+            for position, c in enumerate(report.checks)
         ],
         "expected_sequence": list(report.expected_sequence),
         "node_sequence": list(report.node_sequence),
@@ -440,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     level_count = _decimal_option("level count")
     grid_points = _decimal_option("grid points")
-    half_width = _option(_parse_real)
+    half_width = _option(parse_rational)
 
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -502,13 +493,22 @@ _EXIT_CODES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # Exact values can run past the 4300 digits Python converts between int and str
+    # by default (the det 82 determinant does): the limit, which Python before 3.10.7
+    # lacks, is lifted for the command and put back after it.
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except tuple(_EXIT_CODES) as err:
         code, message = next(v for kind, v in _EXIT_CODES.items() if isinstance(err, kind))
         print(f"error: {message.format(err)}", file=sys.stderr)
         return code
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -52,6 +52,13 @@ def _as_fraction(value) -> Fraction:
         raise ValueError(f"cannot parse {value!r} as an exact rational") from None
 
 
+def _as_rationals(values, name: str) -> Sequence:
+    # A str or bytes is a sequence of characters: "12" would read as the values 1, 2.
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{name} must be a sequence of rationals, not the string {values!r}")
+    return values
+
+
 def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers c_i and one denominator D with values[i] = c_i / D."""
     # The lcm of a list, not of a generator: star-unpacking a generator builds its tuple
@@ -95,10 +102,6 @@ class EnergyMatrix:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "column_powers", powers)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.levels)
-
 
 @dataclass(frozen=True)
 class SpectrumTarget:
@@ -116,7 +119,7 @@ class SpectrumTarget:
     @classmethod
     def from_energies(cls, energies: Sequence) -> "SpectrumTarget":
         """Target assigning the given energies to levels 0..N-1 in order."""
-        return cls(tuple(enumerate(energies)))
+        return cls(tuple(enumerate(_as_rationals(energies, "energies"))))
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -146,6 +149,7 @@ class PolynomialHamiltonian:
     @classmethod
     def from_dense(cls, coefficients: Sequence) -> "PolynomialHamiltonian":
         """Build from dense coefficients [a_1, a_2, ...] starting at power 1."""
+        coefficients = _as_rationals(coefficients, "coefficients")
         return cls(tuple((j + 1, c) for j, c in enumerate(coefficients)))
 
     @property
@@ -204,7 +208,7 @@ def determinant(matrix: EnergyMatrix) -> Fraction:
     powers (see the module docstring).  The integer rows are the matrix times 2^top,
     so their determinant is 2^(n top) times the one returned.
     """
-    n = matrix.n_rows
+    n = len(matrix.levels)
     m = _integer_rows(matrix)
     _forward_eliminate(m, n)
     return Fraction(m[n - 1][n - 1], 2 ** (n * max(matrix.column_powers)))
@@ -232,8 +236,8 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
         RuntimeError: If the solution misses an equation on substitution (an internal
             fault, never a property of the input); the message names its level.
     """
-    n = matrix.n_rows
-    b = [_as_fraction(v) for v in rhs]
+    n = len(matrix.levels)
+    b = [_as_fraction(v) for v in _as_rationals(rhs, "right-hand side")]
     if len(b) != n:
         raise ValueError(f"right-hand side has {len(b)} entries for {n} rows")
 
@@ -313,42 +317,35 @@ def dial(target: SpectrumTarget) -> PolynomialHamiltonian:
     return _fit(target, range(1, n + 1))
 
 
-def dial_partial(
-    target: SpectrumTarget, drop_powers: Sequence[int] | None = None
-) -> PolynomialHamiltonian:
+def dial_partial(target: SpectrumTarget, drop_powers: Sequence[int] = ()) -> PolynomialHamiltonian:
     """Dial a spectrum that assigns only some levels, stripping matching h-powers.
 
     Leaving a level unassigned removes its row from the energy matrix; the same
-    number of power columns must go to keep the system square.  By default the
-    highest powers are dropped, so k assigned levels are fitted with powers 1..k.
+    number of power columns must go to keep the system square.  With no powers
+    dropped, k assigned levels are fitted with powers 1..k.
 
     Args:
         target: Levels (not necessarily contiguous) and their energies.
-        drop_powers: Explicit powers to remove from 1..(k + len(drop_powers)).
-            Defaults to dropping everything above power k.
+        drop_powers: Powers to remove from 1..(k + len(drop_powers)); none by
+            default, so the fit uses powers 1..k.
 
     Returns:
         A polynomial with one term per retained power.
     """
     k = len(target.pairs)
-    if drop_powers is None:
-        retained = tuple(range(1, k + 1))
-    else:
-        dropped = [_as_index(p, "drop power", 1) for p in drop_powers]
-        n_full = k + len(dropped)
-        seen = set()
-        for p in dropped:
-            if p > n_full:
-                raise ValueError(
-                    f"drop power {p} is outside 1..{n_full} "
-                    f"({k} targets plus {len(dropped)} dropped columns)"
-                )
-            if p in seen:
-                raise ValueError(f"drop power {p} listed twice")
-            seen.add(p)
-        retained = tuple(p for p in range(1, n_full + 1) if p not in seen)
-
-    return _fit(target, retained)
+    dropped = [_as_index(p, "drop power", 1) for p in drop_powers]
+    n_full = k + len(dropped)
+    seen = set()
+    for p in dropped:
+        if p > n_full:
+            raise ValueError(
+                f"drop power {p} is outside 1..{n_full} "
+                f"({k} targets plus {len(dropped)} dropped columns)"
+            )
+        if p in seen:
+            raise ValueError(f"drop power {p} listed twice")
+        seen.add(p)
+    return _fit(target, [p for p in range(1, n_full + 1) if p not in seen])
 
 
 def _fit(target: SpectrumTarget, powers: Sequence[int]) -> PolynomialHamiltonian:

@@ -54,11 +54,14 @@ START_SEED = 0
 
 def _as_real(value, name: str) -> float:
     # The one check of a float argument, the half width or the tolerance: any real
-    # number (int, float, Fraction, numpy floats) passes and is stored as a float; a
-    # bool is refused, not read as 0 or 1, and so is anything that is not a number.
+    # number (int, float, Fraction, numpy floats) is rounded once to a float, +-inf past
+    # its range; a bool is refused, not read as 0 or 1, and so is any non-number.
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} {value!r} must be a real number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         half_width = _as_real(self.half_width, "half width")
         if not (math.isfinite(half_width) and half_width > 0):
-            raise ValueError(f"half width must be positive and finite, got {self.half_width}")
+            raise ValueError(f"half width must be positive and finite, got {half_width}")
         object.__setattr__(self, "half_width", half_width)
         object.__setattr__(self, "points", _as_index(self.points, "grid points", 3))
 
@@ -85,22 +88,21 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridOperator:
-    """Real symmetric band matrix acting on grid samples, held as its lower band.
+    """Real symmetric band matrix acting on k grid samples, held as its lower band.
 
-    `band` has shape (w + 1, k) for half bandwidth w: band[d, j] is the entry
+    `band` has shape (w + 1, k) for half bandwidth w < k: band[d, j] is the entry
     (j + d, j), the LAPACK lower symmetric band layout.  The upper half is implied,
     so the operator is symmetric by its storage.  The last d slots of row d lie
     outside the matrix and must be zero.
     """
 
-    spec: GridSpec
     band: npt.NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        k = self.spec.points
         shape = self.band.shape
-        if len(shape) != 2 or not 1 <= shape[0] <= k or shape[1] != k:
-            raise ValueError(f"operator band shape {shape} does not match {k} grid points")
+        if len(shape) != 2 or not 1 <= shape[0] <= shape[1]:
+            raise ValueError(f"operator band shape {shape} is not (w + 1, k) with w < k")
+        k = shape[1]
         if not np.all(np.isfinite(self.band)):
             raise ValueError("grid operator has non-finite entries (float64 overflow)")
         if any(np.any(row[k - d:]) for d, row in enumerate(self.band)):
@@ -109,9 +111,8 @@ class GridOperator:
 
 @dataclass(frozen=True)
 class GridEigenSolution:
-    """Lowest eigenpairs of a grid operator, eigenvalues ascending."""
+    """Lowest eigenpairs of a grid operator: eigenvalues ascending, eigenvectors in columns."""
 
-    spec: GridSpec
     eigenvalues: npt.NDArray[np.float64]
     eigenvectors: npt.NDArray[np.float64]
 
@@ -120,21 +121,22 @@ class GridEigenSolution:
 class LevelCheck:
     """Comparison of one grid eigenpair against its analytic counterpart.
 
+    Checks run ascending by eigenvalue; check i belongs to the eigenvector whose node
+    count is the report's node_sequence[i].
+
     Attributes:
-        position: Rank k of the eigenpair (ascending by eigenvalue).
         grid_eigenvalue: The computed grid eigenvalue.
-        node_count: Sign changes of the eigenvector above the noise threshold.
         matched_level: Analytic level n paired with this eigenpair (by node count,
             or by sorted position when the spectrum is degenerate).
         analytic_energy: Exact P(n + 1/2) for the matched level.
         abs_error: |grid - analytic|.
         rel_error: abs_error / |analytic|, or None where the analytic energy is 0.0 in float64.
-        within_tolerance: Relative check, absolute where rel_error is None.
+        within_tolerance: rel_error within the tolerance; where rel_error is None,
+            abs_error within the tolerance times the smallest nonzero |analytic|
+            among the checked levels (0 if there is none).
     """
 
-    position: int
     grid_eigenvalue: float
-    node_count: int
     matched_level: int
     analytic_energy: Fraction
     abs_error: float
@@ -181,7 +183,7 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
         band[0] = 30.0 * c + 0.5 * x * x
     band[1, :-1] = -16.0 * c
     band[2, :-2] = c
-    return GridOperator(spec, band)
+    return GridOperator(band)
 
 
 def _band_matvec(
@@ -212,7 +214,7 @@ def matrix_polynomial(operator: GridOperator, ham: PolynomialHamiltonian) -> Gri
     maps to the zero matrix, and a_j E adds a_j to the diagonal without forming I.
     """
     a = operator.band
-    k = operator.spec.points
+    k = a.shape[1]
     dense = [float(c) for c in ham.dense_coefficients()]
     width = min((a.shape[0] - 1) * len(dense), k - 1)
     period = min(2 * width + 1, k)
@@ -227,7 +229,7 @@ def matrix_polynomial(operator: GridOperator, ham: PolynomialHamiltonian) -> Gri
     band = np.zeros((width + 1, k))
     for d in range(width + 1):
         band[d, : k - d] = y[rows[d:], columns[: k - d]]
-    return GridOperator(operator.spec, band)
+    return GridOperator(band)
 
 
 def _inverse_iteration(
@@ -370,7 +372,7 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     """
     import scipy.linalg
 
-    k = operator.spec.points
+    k = operator.band.shape[1]
     count = _as_index(count, "eigenpair count", 1)
     if count > k:
         raise ValueError(f"can retain at most {k} eigenpairs, got {count}")
@@ -417,7 +419,7 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
             f"eigenpair residual {worst * unit:.3e} exceeds {RESIDUAL_TOLERANCE:.0e} * ||A|| "
             f"for size {k}"
         )
-    return GridEigenSolution(operator.spec, values * unit, vectors)
+    return GridEigenSolution(values * unit, vectors)
 
 
 def count_nodes(vector: npt.NDArray[np.float64]) -> int:
@@ -449,15 +451,21 @@ def verify_dialled(
     """Cross-check a polynomial Hamiltonian's spectrum and node ordering on a grid.
 
     The lowest eigenpairs of P(oscillator grid) are compared level by level with
-    the exact analytic spectrum: eigenvalues must agree within `tolerance`
-    (relative, or absolute where the exact energy is 0.0 in float64) and the
-    eigenvector node counts must reproduce the analytic ascending permutation.
-    Disagreement produces a failure report, not an exception.
+    the exact analytic spectrum, and the eigenvector node counts with the analytic
+    ascending permutation.  Disagreement produces a failure report, not an
+    exception.  Every rule is relative, so scaling P by a power of two, which scales
+    each grid eigenvalue exactly, changes no verdict:
 
-    When two exact energies sit closer than 10x the tolerance the report is marked
-    degenerate: eigenvalues are still checked against the sorted exact spectrum,
-    but node counts are only reported, since the eigensolver may mix nearly
-    degenerate eigenvectors freely.
+    - An eigenvalue passes within `tolerance` of its exact energy, relatively; where
+      that energy is 0.0 in float64, its absolute error must stay within `tolerance`
+      times the smallest nonzero |energy| among the checked levels (0 if none is).
+    - Two adjacent sorted exact energies a <= b are degenerate when
+      b - a <= DEGENERACY_FACTOR * tolerance * max(|a|, |b|); such links join the
+      sorted levels into clusters.  If any level has company the report is marked
+      degenerate and eigenvalues are matched to the sorted exact spectrum by position.
+    - Node counts must reproduce the permutation at every sorted position whose level
+      is alone in its cluster.  Inside a cluster they are only reported, since the
+      eigensolver may mix nearly degenerate eigenvectors freely.
 
     A negative leading coefficient makes P unbounded below on the levels, so the
     checked levels are not the lowest ones and a grid cannot confirm them: such a
@@ -481,8 +489,12 @@ def verify_dialled(
     records = evaluate_spectrum(ham, count)
     permutation = ordering_report(records).ascending_permutation
     sorted_exact = [records[level].energy for level in permutation]
-    gaps = [float(b - a) for a, b in zip(sorted_exact, sorted_exact[1:])]
-    degenerate = any(g <= DEGENERACY_FACTOR * tolerance for g in gaps)
+    # Exact, so that no energy overflows here: close[i] links sorted positions i, i + 1.
+    closeness = Fraction(DEGENERACY_FACTOR * tolerance)
+    close = [b - a <= closeness * max(abs(a), abs(b))
+             for a, b in zip(sorted_exact, sorted_exact[1:])]
+    degenerate = any(close)
+    alone = [not (left or right) for left, right in zip([False, *close], [*close, False])]
 
     solution = diagonalize(matrix_polynomial(build_oscillator_grid(spec), ham), count)
     node_sequence = tuple(
@@ -490,35 +502,26 @@ def verify_dialled(
     )
     sequence_matches = node_sequence == permutation
 
+    matched = permutation if degenerate else node_sequence
+    exact = [
+        records[level].energy if level < count
+        else evaluate_polynomial(ham, oscillator_energy(level))
+        for level in matched
+    ]
+    exact_floats = [float(e) for e in exact]
+    zero_floor = tolerance * min((abs(e) for e in exact_floats if e != 0.0), default=0.0)
     checks = []
-    for i in range(count):
-        grid_value = float(solution.eigenvalues[i])
-        matched = permutation[i] if degenerate else node_sequence[i]
-        exact = (
-            records[matched].energy
-            if matched < count
-            else evaluate_polynomial(ham, oscillator_energy(matched))
-        )
-        exact_float = float(exact)
+    for grid_value, level, energy, exact_float in zip(
+        solution.eigenvalues.tolist(), matched, exact, exact_floats
+    ):
         abs_error = abs(grid_value - exact_float)
         if exact_float == 0.0:
             rel_error = None
-            within = abs_error <= tolerance
+            within = abs_error <= zero_floor
         else:
             rel_error = abs_error / abs(exact_float)
             within = rel_error <= tolerance
-        checks.append(
-            LevelCheck(
-                position=i,
-                grid_eigenvalue=grid_value,
-                node_count=node_sequence[i],
-                matched_level=matched,
-                analytic_energy=exact,
-                abs_error=abs_error,
-                rel_error=rel_error,
-                within_tolerance=within,
-            )
-        )
+        checks.append(LevelCheck(grid_value, level, energy, abs_error, rel_error, within))
 
     leading = ham.coefficient(ham.degree)
     unbounded = (
@@ -530,7 +533,8 @@ def verify_dialled(
     passed = (
         unbounded is None
         and all(c.within_tolerance for c in checks)
-        and (degenerate or sequence_matches)
+        and all(n == level for n, level, single in zip(node_sequence, permutation, alone)
+                if single)
     )
     return VerificationReport(
         spec=spec,

@@ -1,4 +1,4 @@
-"""Harmonic-oscillator reference data: energies, eigenfunctions and node counts.
+"""Harmonic-oscillator reference data: energies and eigenfunctions.
 
 Everything is in dimensionless form (unit mass, unit frequency, hbar = 1), so the
 oscillator Hamiltonian is p^2/2 + x^2/2 with eigenvalues n + 1/2 and eigenfunctions
@@ -74,8 +74,3 @@ def eigenfunction_samples(n: int, x: npt.NDArray[np.float64]) -> npt.NDArray[np.
             math.sqrt(2.0 / (k + 1)) * xs * p_cur - math.sqrt(k / (k + 1.0)) * p_prev
         )
     return p_cur
-
-
-def analytic_node_count(n: int) -> int:
-    """Number of real zeros of phi_n, which is exactly n."""
-    return _as_index(n, "level", 0)

@@ -11,16 +11,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import PolynomialHamiltonian, _as_fraction, _common_denominator
-from .oscillator import _as_index, analytic_node_count, oscillator_energy
+from .oscillator import _as_index, oscillator_energy
 
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One analytic level: index, exact energy, and node count (= index)."""
+    """One analytic level: index n and exact energy P(n + 1/2).
+
+    Its eigenstate is the oscillator's phi_n, so its node count is n, the level itself.
+    """
 
     level: int
     energy: Fraction
-    node_count: int
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def evaluate_spectrum(ham: PolynomialHamiltonian, count: int) -> tuple[LevelReco
     records = []
     for n in range(count):
         energy = _horner(coeffs, den, oscillator_energy(n))
-        records.append(LevelRecord(n, energy, analytic_node_count(n)))
+        records.append(LevelRecord(n, energy))
     return tuple(records)
 
 

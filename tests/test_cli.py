@@ -336,9 +336,10 @@ def zeros_then(count: int, coeff: str) -> str:
 
 
 def test_verify_energy_underflowing_float64_is_checked_absolutely(capsys):
-    # E_0 = 1e-300 (1/2)^90 is nonzero but 0.0 as a float: no relative error
+    # E_0 = 1e-300 (1/2)^90 is nonzero but 0.0 as a float: no relative error.  Three
+    # samples keep every node count, and so every matched level, inside levels 0..2.
     code, out, _ = run_cli(
-        capsys, "verify", zeros_then(89, "1e-300"), "--levels", "3", "--grid-points", "301"
+        capsys, "verify", zeros_then(89, "1e-300"), "--levels", "3", "--grid-points", "3"
     )
     assert code == 4
     lines = out.splitlines()
@@ -384,10 +385,11 @@ def test_verify_overflow_prints_only_the_error_line(argv):
 
 
 def test_verify_json_is_strict_when_an_error_overflows(capsys):
-    # E_0 = 1e-280 (1/2)^110 is subnormal, so level 0's relative error is inf
+    # E_0 = 1e-280 (1/2)^110 is subnormal, so level 0's relative error is inf; the
+    # narrow three-sample grid puts its grid eigenvalues far above it
     code, out, err = run_cli(
-        capsys, "verify", zeros_then(109, "1e-280"), "--levels", "3", "--grid-points", "301",
-        "--format", "json",
+        capsys, "verify", zeros_then(109, "1e-280"), "--levels", "3", "--grid-points", "3",
+        "--half-width", "0.05", "--format", "json",
     )
     assert (code, err) == (4, "")
 
@@ -395,7 +397,7 @@ def test_verify_json_is_strict_when_an_error_overflows(capsys):
         raise ValueError(f"non-standard JSON constant {constant}")
 
     body = json.loads(out, parse_constant=refuse)
-    assert body["levels"][0]["rel_error"] == "inf"
+    assert [lvl["rel_error"] for lvl in body["levels"] if lvl["matched_level"] == 0] == ["inf"]
 
 
 def test_verify_refuses_a_spacing_too_small_for_float64(capsys):
@@ -588,6 +590,43 @@ def test_det_rejects_nonpositive(capsys):
     assert "size" in err
 
 
+# Python converts at most 4300 digits between int and str by default (3.10.7 on);
+# the CLI lifts that for its command, so exact output of any length prints.
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="this Python has no int digit limit")
+
+
+@needs_digit_limit
+def test_det_prints_past_the_int_digit_limit(capsys):
+    # det 82 is the first size whose determinant has more than 4300 digits
+    code, out, err = run_cli(capsys, "det", "82", "--format", "json")
+    assert (code, err) == (0, "")
+    body = json.loads(out)
+    assert body["agree"] is True
+    assert len(body["elimination"].partition("/")[0]) > 4300
+
+
+@needs_digit_limit
+def test_spectrum_prints_past_the_int_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--coeffs=1e-5000", "--levels", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(",0.0,0")
+
+
+@needs_digit_limit
+def test_main_puts_the_int_digit_limit_back(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run_cli(capsys, "det", "3")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            cli.main(["det", "x"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 # -------------------------------------------------------- out-of-range input
 
 @pytest.mark.parametrize("argv", [
@@ -663,7 +702,7 @@ def test_half_width_is_read_as_an_exact_rational(capsys, tmp_path, command, text
     assert not (tmp_path / "fig").exists()
 
 
-def test_half_width_accepts_what_float_read_alike(capsys):
+def test_verify_half_width_accepts_what_float_read_alike(capsys):
     plain = run_cli(capsys, "verify", "--coeffs=1", "--levels", "3", "--grid-points", "101",
                     "--half-width", "8", "--format", "json")
     assert plain[0] == 0 and json.loads(plain[1])["grid"]["half_width"] == 8.0
@@ -672,7 +711,7 @@ def test_half_width_accepts_what_float_read_alike(capsys):
                        "101", "--half-width", text, "--format", "json") == plain, text
 
 
-def test_half_width_beyond_float64_is_refused_as_infinite(capsys):
+def test_verify_half_width_beyond_float64_is_refused_as_infinite(capsys):
     code, out, err = run_cli(capsys, "verify", "--coeffs=1", "--half-width", "1e400")
     assert (code, out) == (2, "")
     assert err == "error: half width must be positive and finite, got inf\n"

@@ -84,7 +84,7 @@ def test_grid_float_arguments_store_any_real_as_float(value):
     ("value", "message"),
     [(math.nan, "half width must be positive and finite, got nan"),
      (-math.inf, "half width must be positive and finite, got -inf"),
-     (0, "half width must be positive and finite, got 0")],
+     (0, "half width must be positive and finite, got 0.0")],
 )
 def test_grid_half_width_range_messages(value, message):
     with pytest.raises(ValueError) as err:
@@ -137,12 +137,11 @@ def test_grid_operator_rejects_asymmetry():
     # The operator holds only its lower band, so the one way to state an entry with
     # no mirror image is a value outside the matrix: this array read as a band puts
     # a 1 at (4, 2).  A band of the wrong shape is refused too.
-    spec = GridSpec(half_width=1.0, points=3)
     bad = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="outside the matrix"):
-        GridOperator(spec, bad)
+        GridOperator(bad)
     with pytest.raises(ValueError, match="band shape"):
-        GridOperator(spec, np.ones((4, 3)))
+        GridOperator(np.ones((4, 3)))
 
 
 def test_grid_eigenvalues_match_oscillator_ladder():
@@ -418,7 +417,7 @@ def test_diagonalize_refuses_an_operator_that_is_not_mirror_symmetric(relative, 
     op = build_oscillator_grid(GridSpec(half_width=10.0, points=101))
     band = op.band.copy()
     band[0, 0] *= 1.0 + relative
-    skewed = GridOperator(op.spec, band)
+    skewed = GridOperator(band)
     if refused:
         with pytest.raises(ValueError, match="grid operator is not mirror-symmetric"):
             diagonalize(skewed, 3)
@@ -511,6 +510,38 @@ def test_verify_degenerate_pair_passes():
     report = verify_dialled(ham)
     assert report.degenerate
     assert report.passed
+
+
+def test_verify_verdict_does_not_depend_on_the_scale_of_p():
+    # Scaling P by 2^m scales every grid eigenvalue and exact energy exactly, so only
+    # absolute errors may change.  With absolute thresholds, level 6's exact zero
+    # failed at 2^10 (error 4.2e-3) and every gap was degenerate at 2^-10.
+    def outcome(m):
+        scale = Fraction(2) ** m
+        ham = PolynomialHamiltonian.from_dense([a * scale for a in QUADRATIC.dense_coefficients()])
+        report = verify_dialled(ham)
+        return (report.degenerate, report.sequence_matches, report.passed,
+                [(c.within_tolerance, c.rel_error) for c in report.checks])
+
+    assert outcome(-10) == outcome(0) == outcome(10)
+    degenerate, matches, passed, rows = outcome(0)
+    assert (degenerate, matches, passed) == (False, True, True)
+    assert rows[6] == (True, None)  # level 6, E = 0
+
+
+def test_verify_checks_nodes_of_a_level_alone_in_a_degenerate_spectrum(monkeypatch):
+    # P(h) = h^2 - 8h pairs levels n and 7 - n exactly and leaves level 8 (E = 17/4)
+    # alone at the top: its node count is checked although the spectrum is degenerate
+    ham = PolynomialHamiltonian.from_dense([Fraction(-8), Fraction(1)])
+    report = verify_dialled(ham)
+    assert report.degenerate and report.passed
+    assert report.expected_sequence[-1] == 8
+    count = gridverify.count_nodes
+    monkeypatch.setattr(gridverify, "count_nodes", lambda v: {7: 8, 8: 7}.get(count(v), count(v)))
+    report = verify_dialled(ham)
+    assert report.node_sequence[-1] == 7
+    assert all(c.within_tolerance for c in report.checks)
+    assert not report.passed
 
 
 def test_verify_zero_polynomial_trivially_degenerate():

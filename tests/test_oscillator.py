@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyosc.oscillator import analytic_node_count, eigenfunction_samples, oscillator_energy
+from polyosc.oscillator import eigenfunction_samples, oscillator_energy
 
 # ---------------------------------------------------------------- test oracle
 # Exact Hermite polynomials give phi_n by the explicit formula, a route that
@@ -181,7 +181,11 @@ def test_eigenfunction_input_validation():
         eigenfunction_samples(1, np.array([0.0, math.nan]))
 
 
-def test_analytic_node_count():
-    assert [analytic_node_count(n) for n in range(5)] == [0, 1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        analytic_node_count(-3)
+def test_level_n_eigenfunction_has_n_nodes():
+    # phi_n has exactly n real zeros, the node count reported for level n; samples
+    # below 1e-9 of the peak (the tails, and x = 0 for odd n) carry no sign
+    x = np.linspace(-9.0, 9.0, 3601)
+    for n in range(12):
+        samples = eigenfunction_samples(n, x)
+        live = samples[np.abs(samples) > 1e-9 * np.abs(samples).max()]
+        assert np.count_nonzero(np.diff(np.sign(live))) == n

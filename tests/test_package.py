@@ -29,7 +29,6 @@ PUBLIC = [
     "diagonalize",
     "matrix_polynomial",
     "verify_dialled",
-    "analytic_node_count",
     "eigenfunction_samples",
     "oscillator_energy",
     "LevelRecord",
@@ -44,8 +43,8 @@ PUBLIC = [
 HOMES = {
     "exactalg": PUBLIC[0:9],
     "gridverify": PUBLIC[9:20],
-    "oscillator": PUBLIC[20:23],
-    "spectrum": PUBLIC[23:29],
+    "oscillator": PUBLIC[20:22],
+    "spectrum": PUBLIC[22:28],
 }
 
 

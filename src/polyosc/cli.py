@@ -213,7 +213,12 @@ def cmd_dial(args: argparse.Namespace) -> int:
             raw = Path(args.request).read_text()
         except OSError as err:
             raise ValueError(f"cannot read request file: {err}") from None
-        target, drop = _parse_request_payload(json.loads(raw))
+        try:
+            payload = json.loads(raw)
+        except RecursionError:
+            # json's decoder recurses once per nesting level.
+            raise ValueError(f"request file {args.request} is nested too deeply") from None
+        target, drop = _parse_request_payload(payload)
     else:
         target, drop = _parse_targets_inline(args.targets), []
     if args.drop_powers is not None:

@@ -6,21 +6,21 @@ N levels therefore means solving the N x N linear system
 
     sum_j (n + 1/2)^j a_j = E_n,   one row per level n, one column per power j,
 
-whose matrix is a generalized Vandermonde matrix in the oscillator energies.  The
-matrix is held as its row levels and column powers alone; times 2^top, with top the
-largest power, its entries are the integers (2n + 1)^j 2^(top - j).  All arithmetic
-here is exact.  With powers 1..N, row n is h_n (1, h_n, ..., h_n^{N-1}), so the
-system is polynomial interpolation of E_n / h_n at the distinct positive nodes h_n,
-solved by Newton divided differences in O(N^2) (Bjorck and Pereyra, Math. Comp. 24,
-1970).  Every other power list goes through fraction-free (Bareiss) elimination of
-the integer rows, which `determinant` also uses.  It needs no pivoting: with
-0 < h_0 < h_1 < ... and distinct powers, a generalized Vandermonde matrix with its
-powers sorted is strictly totally positive (Gantmacher and Krein, 1950; Karlin,
-1968), so every leading minor in the given row and column order is nonzero, with
-the sign of the permutation that sorts its columns.  Either way the solution is
-substituted back into every integer row, so a coefficient vector returned by
-`solve_linear_exact`, `dial` or `dial_partial` reproduces the requested energies
-with zero residual.
+whose matrix is a generalized Vandermonde matrix in the oscillator energies, held
+as its row levels and column powers alone.  All arithmetic here is exact, in the odd
+integer t = 2h: with P(h) = sum_j y_j t^j, y_j = a_j / 2^j, the matrix becomes the
+integers t_n^j, t_n = 2n + 1, and a_j = 2^j y_j.  With powers 1..N, row n is
+t_n (1, t_n, ..., t_n^{N-1}), so the system is polynomial interpolation of E_n / t_n
+at the distinct nodes t_n, solved by Newton divided differences in O(N^2) (Bjorck
+and Pereyra, Math. Comp. 24, 1970).  Every other power list goes through
+fraction-free (Bareiss) elimination of the integer rows, which `determinant` also
+uses.  It needs no pivoting: with 0 < t_0 < t_1 < ... and distinct powers, a
+generalized Vandermonde matrix with its powers sorted is strictly totally positive
+(Gantmacher and Krein, 1950; Karlin, 1968), so every leading minor in the given row
+and column order is nonzero, with the sign of the permutation that sorts its
+columns.  Either way the returned a is substituted back into every integer row, so
+a coefficient vector returned by `solve_linear_exact`, `dial` or `dial_partial`
+reproduces the requested energies with zero residual.
 """
 
 import math
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .oscillator import _as_index, oscillator_energy
+from .oscillator import _as_index
 
 
 def _as_fraction(value) -> Fraction:
@@ -61,8 +61,8 @@ def _as_rationals(values, name: str) -> Sequence:
 
 def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers c_i and one denominator D with values[i] = c_i / D."""
-    # The lcm of a list, not of a generator: star-unpacking a generator builds its tuple
-    # by resizing, which fills CPython's per-size tuple free lists (MBs over a run).
+    # A list, not a generator, here and in every tuple([...]) of the exact half: a tuple
+    # built from a generator is resized, filling CPython's per-size free lists over a run.
     den = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -88,8 +88,8 @@ class EnergyMatrix:
     column_powers: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(_as_index(n, "level", 0) for n in self.levels)
-        powers = tuple(_as_index(j, "column power", 1) for j in self.column_powers)
+        levels = tuple([_as_index(n, "level", 0) for n in self.levels])
+        powers = tuple([_as_index(j, "column power", 1) for j in self.column_powers])
         if not levels or len(levels) != len(powers):
             raise ValueError(
                 f"energy matrix must be square and non-empty, got {len(levels)}x{len(powers)}"
@@ -112,22 +112,22 @@ class SpectrumTarget:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise ValueError("a spectrum target needs at least one level")
-        coerced = tuple((_as_index(lvl, "level", 0), _as_fraction(e)) for lvl, e in self.pairs)
+        coerced = tuple([(_as_index(lvl, "level", 0), _as_fraction(e)) for lvl, e in self.pairs])
         object.__setattr__(self, "pairs", coerced)
         _check_increasing(self.levels, "levels")
 
     @classmethod
     def from_energies(cls, energies: Sequence) -> "SpectrumTarget":
         """Target assigning the given energies to levels 0..N-1 in order."""
-        return cls(tuple(enumerate(_as_rationals(energies, "energies"))))
+        return cls(list(enumerate(_as_rationals(energies, "energies"))))
 
     @property
     def levels(self) -> tuple[int, ...]:
-        return tuple(lvl for lvl, _ in self.pairs)
+        return tuple([lvl for lvl, _ in self.pairs])
 
     @property
     def energies(self) -> tuple[Fraction, ...]:
-        return tuple(e for _, e in self.pairs)
+        return tuple([e for _, e in self.pairs])
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class PolynomialHamiltonian:
     terms: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple((_as_index(p, "term power", 1), _as_fraction(a)) for p, a in self.terms)
+        coerced = tuple([(_as_index(p, "term power", 1), _as_fraction(a)) for p, a in self.terms])
         object.__setattr__(self, "terms", coerced)
         _check_increasing([p for p, _ in coerced], "term powers")
 
@@ -150,7 +150,7 @@ class PolynomialHamiltonian:
     def from_dense(cls, coefficients: Sequence) -> "PolynomialHamiltonian":
         """Build from dense coefficients [a_1, a_2, ...] starting at power 1."""
         coefficients = _as_rationals(coefficients, "coefficients")
-        return cls(tuple((j + 1, c) for j, c in enumerate(coefficients)))
+        return cls(list(enumerate(coefficients, 1)))
 
     @property
     def degree(self) -> int:
@@ -178,9 +178,8 @@ def build_energy_matrix(levels: Sequence[int], powers: Sequence[int]) -> EnergyM
 
 
 def _integer_rows(matrix: EnergyMatrix) -> list[list[int]]:
-    """The entries times 2^top, top the largest power: (2n + 1)^j 2^(top - j) at (n, j)."""
-    top = max(matrix.column_powers)
-    return [[(2 * n + 1) ** j << (top - j) for j in matrix.column_powers] for n in matrix.levels]
+    """The matrix in t = 2h, entry (n, j) times 2^j: t_n^j = (2n + 1)^j."""
+    return [[(2 * n + 1) ** j for j in matrix.column_powers] for n in matrix.levels]
 
 
 def _forward_eliminate(m: list[list[int]], n: int) -> None:
@@ -205,13 +204,13 @@ def determinant(matrix: EnergyMatrix) -> Fraction:
     """Exact determinant by unpivoted fraction-free elimination.
 
     It is never zero, and its sign is that of the permutation sorting the column
-    powers (see the module docstring).  The integer rows are the matrix times 2^top,
-    so their determinant is 2^(n top) times the one returned.
+    powers (see the module docstring).  Column j of the integer rows t_n^j is column
+    j of the matrix times 2^j, so the determinant is det[t_n^j] / 2^(sum of powers).
     """
     n = len(matrix.levels)
     m = _integer_rows(matrix)
     _forward_eliminate(m, n)
-    return Fraction(m[n - 1][n - 1], 2 ** (n * max(matrix.column_powers)))
+    return Fraction(m[n - 1][n - 1], 1 << sum(matrix.column_powers))
 
 
 def determinant_closed_form(n: int) -> Fraction:
@@ -229,8 +228,9 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
     """Solve the square system matrix * x = rhs exactly, re-checked against every equation.
 
     The route follows from the column powers alone: powers exactly 1..n are solved
-    by interpolation at the nodes h_n in O(n^2), any other power list by Bareiss
-    elimination of the integer rows.  `rhs` holds one exact rational per row.
+    by interpolation at the nodes t_n in O(n^2), any other by Bareiss elimination of
+    the integer rows; either gives y, and x_j = 2^j y_j.  `rhs` holds one exact
+    rational per row.
 
     Raises:
         RuntimeError: If the solution misses an equation on substitution (an internal
@@ -242,62 +242,61 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
         raise ValueError(f"right-hand side has {len(b)} entries for {n} rows")
 
     rows = _integer_rows(matrix)
-    top = max(matrix.column_powers)
-    if matrix.column_powers == tuple(range(1, n + 1)):
-        # P(h_i) = h_i Q(h_i) = b_i: Q interpolates b_i / h_i, and a_{j+1} is Q's x^j.
-        nodes = [oscillator_energy(level) for level in matrix.levels]
-        x = _interpolate(nodes, [bi / h for bi, h in zip(b, nodes)])
+    powers = matrix.column_powers
+    if powers == tuple(range(1, n + 1)):
+        # P(t_i) = t_i Q(t_i) = b_i: Q interpolates b_i / t_i, and y_{j+1} is Q's x^j.
+        nodes = [2 * level + 1 for level in matrix.levels]
+        y = _interpolate(nodes, [bi / t for bi, t in zip(b, nodes)])
     else:
-        # The integer rows are the matrix times 2^top, so the augmented column is
-        # 2^top b_i, written as integers over the common denominator of b.
-        b_nums, b_den = _common_denominator(b)
-        m = [row + [c << top] for row, c in zip(rows, b_nums)]
+        b_nums, b_den = _common_denominator(b)  # the augmented column: b over b_den
+        m = [row + [c] for row, c in zip(rows, b_nums)]
         _forward_eliminate(m, n)
-        x = [Fraction(0)] * n
+        y = [Fraction(0)] * n
         for i in range(n - 1, -1, -1):
             acc = Fraction(m[i][n], b_den)
             for j in range(i + 1, n):
-                acc -= m[i][j] * x[j]
-            x[i] = acc / m[i][i]
+                acc -= m[i][j] * y[j]
+            y[i] = acc / m[i][i]
+    x = [yj * (1 << j) for yj, j in zip(y, powers)]
 
-    # Substitute into every integer row, x written as numerators over one common
-    # denominator: sum_j row_j x_j must equal 2^top b_i.  Neither route computes this
-    # power sum, so it is the one back-check of every solve, dial's included.
+    # Substitute the returned x into every integer row: over one common denominator,
+    # 2^top y_j = 2^(top-j) x_j, and the row sum must be 2^top b_i.  No route computes
+    # this power sum, so it is the one back-check of every solve and of x = 2^j y.
+    top = max(powers)
     nums, den = _common_denominator(x)
+    shifted = [c << (top - j) for c, j in zip(nums, powers)]
     for level, row, bi in zip(matrix.levels, rows, b):
-        if sum(map(operator.mul, row, nums)) * bi.denominator != (bi.numerator << top) * den:
+        if sum(map(operator.mul, row, shifted)) * bi.denominator != (bi.numerator << top) * den:
             raise RuntimeError(
                 f"internal consistency failure: exact solve residual is nonzero at level {level}"
             )
     return tuple(x)
 
 
-def _interpolate(nodes: Sequence[Fraction], values: Sequence[Fraction]) -> list[Fraction]:
+def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> list[Fraction]:
     """Monomial coefficients c_0..c_{n-1} of the polynomial taking values[i] at nodes[i].
 
-    Bjorck and Pereyra's two stages, O(n^2): Newton divided differences, then the
-    Newton form expanded into monomial coefficients.  Both run on integers over one
-    common denominator for the whole vector, with the nodes written as u_i / v, so
-    only the n returned Fractions are reduced.
+    Bjorck and Pereyra's two stages, O(n^2), on distinct integer nodes: Newton
+    divided differences, then the Newton form expanded into monomial coefficients.
+    Both run on integers over one common denominator for the whole vector, so only
+    the n returned Fractions are reduced.
     """
     n = len(nodes)
-    u, v = _common_denominator(nodes)
     c, den = _common_denominator(values)
-    # Order k: c_i <- (c_i - c_{i-1}) / (x_i - x_{i-k}) = v (c_i - c_{i-1}) / (u_i - u_{i-k});
-    # the common denominator grows by the lcm of this order's node gaps.
+    # Order k: c_i <- (c_i - c_{i-1}) / (x_i - x_{i-k}); the common denominator grows
+    # by the lcm of this order's node gaps.
     for k in range(1, n):
-        grow = math.lcm(*[u[i] - u[i - k] for i in range(k, n)])
+        grow = math.lcm(*[nodes[i] - nodes[i - k] for i in range(k, n)])
         for i in range(n - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * v * (grow // (u[i] - u[i - k]))
+            c[i] = (c[i] - c[i - 1]) * (grow // (nodes[i] - nodes[i - k]))
         for i in range(k):
             c[i] *= grow
         den *= grow
-    # Expansion c_i <- c_i - x_k c_{i+1}: with c_i scaled by v^(n-1-i) it is c_i - u_k c_{i+1}.
-    c = [ci * v ** (n - 1 - i) for i, ci in enumerate(c)]
+    # Expansion c_i <- c_i - x_k c_{i+1}.
     for k in range(n - 2, -1, -1):
         for i in range(k, n - 1):
-            c[i] -= u[k] * c[i + 1]
-    return [Fraction(ci, den * v ** (n - 1 - i)) for i, ci in enumerate(c)]
+            c[i] -= nodes[k] * c[i + 1]
+    return [Fraction(ci, den) for ci in c]
 
 
 def dial(target: SpectrumTarget) -> PolynomialHamiltonian:
@@ -353,4 +352,4 @@ def _fit(target: SpectrumTarget, powers: Sequence[int]) -> PolynomialHamiltonian
     # row check is the back-check of the returned coefficients.
     matrix = build_energy_matrix(target.levels, powers)
     coeffs = solve_linear_exact(matrix, target.energies)
-    return PolynomialHamiltonian(tuple(zip(matrix.column_powers, coeffs)))
+    return PolynomialHamiltonian(list(zip(matrix.column_powers, coeffs)))

@@ -1,9 +1,9 @@
 """Forward spectrum evaluation and Sturm-Liouville ordering analysis.
 
 For a polynomial Hamiltonian P(h) the n-th eigenstate is the oscillator eigenstate
-phi_n, so its node count stays n while its energy moves to P(n + 1/2).  Sorting the
-exact energies therefore reveals every violation of the usual Sturm-Liouville rule
-that energies increase with node count.
+phi_n, so its node count stays n while its energy moves to P(t_n / 2), t_n = 2n + 1,
+found by integer Horner in t_n.  Sorting the exact energies therefore reveals every
+violation of the usual Sturm-Liouville rule that energies increase with node count.
 """
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactalg import PolynomialHamiltonian, _as_fraction, _common_denominator
-from .oscillator import _as_index, oscillator_energy
+from .oscillator import _as_index
 
 
 @dataclass(frozen=True)
@@ -42,41 +42,41 @@ class OrderingReport:
     is_sturm_liouville_ordered: bool
 
 
-def _horner(coeffs: Sequence[int], den: int, point: Fraction) -> Fraction:
-    # Integer Horner, as evaluate_polynomial describes.
-    u, v = point.numerator, point.denominator
-    acc, scale = 0, 1
+def _scaled_numerators(ham: PolynomialHamiltonian, v: int) -> tuple[list[int], int]:
+    # P(u / v) = sum_j s_j u^j / D: with a_j = c_j / D0, s_j = c_j v^(top-j) and D = D0 v^top.
+    coeffs, den = _common_denominator(ham.dense_coefficients())
+    top = len(coeffs)
+    return [c * v ** (top - j) for j, c in enumerate(coeffs, 1)], den * v**top
+
+
+def _horner(coeffs: Sequence[int], den: int, u: int) -> Fraction:
+    # sum_j coeffs[j - 1] u^j / den: no constant term, so the last step multiplies by u.
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * u + c * scale
-        scale *= v
-    return Fraction(acc * u, den * scale)
+        acc = acc * u + c
+    return Fraction(acc * u, den)
 
 
 def evaluate_polynomial(ham: PolynomialHamiltonian, xi: Fraction) -> Fraction:
     """Exact value of P at a rational point, by Horner's scheme.
 
-    The constant term is implicitly zero, so the final Horner step multiplies by xi
-    once more and P(0) = 0 for every polynomial.  The scheme runs on integers: with
-    xi = u / v and a_j = c_j / D it accumulates sum_j c_j u^(j-1) v^(top-j) and
-    builds one Fraction at the end.
+    The constant term is implicitly zero, so P(0) = 0.  With xi = u / v the scheme
+    runs on integers, in u over coefficients scaled once by powers of v.
     """
-    return _horner(*_common_denominator(ham.dense_coefficients()), _as_fraction(xi))
+    xi = _as_fraction(xi)
+    return _horner(*_scaled_numerators(ham, xi.denominator), xi.numerator)
 
 
 def evaluate_spectrum(ham: PolynomialHamiltonian, count: int) -> tuple[LevelRecord, ...]:
-    """Exact energies P(n + 1/2) for levels n = 0..count-1, one set of integer coefficients.
+    """Exact energies P(n + 1/2) for levels n = 0..count-1, by Horner at t_n = 2n + 1.
 
     Args:
         ham: The polynomial Hamiltonian.
         count: Number of levels, >= 1.
     """
     count = _as_index(count, "level count", 1)
-    coeffs, den = _common_denominator(ham.dense_coefficients())
-    records = []
-    for n in range(count):
-        energy = _horner(coeffs, den, oscillator_energy(n))
-        records.append(LevelRecord(n, energy))
-    return tuple(records)
+    coeffs, den = _scaled_numerators(ham, 2)  # h_n = t_n / 2, for every level at once
+    return tuple([LevelRecord(n, _horner(coeffs, den, 2 * n + 1)) for n in range(count)])
 
 
 def ordering_report(records: Sequence[LevelRecord]) -> OrderingReport:
@@ -90,7 +90,7 @@ def ordering_report(records: Sequence[LevelRecord]) -> OrderingReport:
     # as plain integers; the sort is stable, so ties keep index order.
     nums, _ = _common_denominator([rec.energy for rec in records])
     order = sorted(range(len(nums)), key=nums.__getitem__)
-    violations = tuple((i, i + 1) for i in range(len(nums) - 1) if nums[i] >= nums[i + 1])
+    violations = tuple([(i, i + 1) for i in range(len(nums) - 1) if nums[i] >= nums[i + 1]])
     return OrderingReport(tuple(order), violations, not violations)
 
 

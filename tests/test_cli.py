@@ -192,6 +192,14 @@ def test_dial_accepts_padded_levels_and_drop_powers(capsys):
     assert padded == plain and plain[0] == 0
 
 
+def test_dial_refuses_a_deeply_nested_request(capsys, tmp_path):
+    # json.loads raises RecursionError here; malformed input still exits 2 on one line.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, "dial", "--request", str(path))
+    assert (code, out, err) == (2, "", f"error: request file {path} is nested too deeply\n")
+
+
 def test_dial_missing_request_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "dial", "--request", str(tmp_path / "nope.json"))
     assert code == 2

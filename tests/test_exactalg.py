@@ -1,7 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
@@ -27,16 +27,24 @@ def energy_rows(levels, powers):
 
 
 def cofactor_det(rows):
-    """Textbook cofactor expansion along the first row. O(n!) — keep n small."""
+    """Textbook cofactor expansion along the first row, recursively.
+
+    Each minor is memoised by its first row and its remaining columns, so the
+    expansion costs O(n^2 2^n) rather than O(n!); keep n small all the same.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * cofactor_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+
+    @cache
+    def expand(r, cols):
+        if r == n - 1:
+            return rows[r][cols[0]]
+        total = Fraction(0)
+        for k, j in enumerate(cols):
+            term = rows[r][j] * expand(r + 1, cols[:k] + cols[k + 1 :])
+            total += term if k % 2 == 0 else -term
+        return total
+
+    return expand(0, tuple(range(n)))
 
 
 # ------------------------------------------------------------------ dataclasses
@@ -221,13 +229,14 @@ def test_energy_matrix_entries():
     matrix = build_energy_matrix(range(3), range(1, 4))
     assert matrix.levels == (0, 1, 2)
     assert matrix.column_powers == (1, 2, 3)
-    # entries (h_n)^j times 2^3: row 0 is (1/2, 1/4, 1/8), row 2 is (5/2, 25/4, 125/8)
+    # entries (h_n)^j in t_n = 2 h_n, column j times 2^j: row 0 is (1/2, 1/4, 1/8)
+    # times (2, 4, 8), row 2 is (5/2, 25/4, 125/8) times the same
     rows = exactalg._integer_rows(matrix)
-    assert rows[0] == [4, 2, 1]
-    assert rows[2] == [20, 50, 125]
-    # gapped levels and unordered powers: scaled by 2^top for the largest power only
+    assert rows[0] == [1, 1, 1]
+    assert rows[2] == [5, 25, 125]
+    # gapped levels and unordered powers: each column by its own power of 2
     rows = exactalg._integer_rows(build_energy_matrix([1, 4], [3, 1]))
-    assert rows == [[27, 12], [729, 36]]
+    assert rows == [[27, 3], [729, 9]]
 
 
 def test_energy_matrix_validation():
@@ -480,8 +489,8 @@ def test_back_check_catches_a_perturbed_coefficient(monkeypatch):
     target = SpectrumTarget.from_energies([Fraction(-3), Fraction(-15, 2)])
     tiny = Fraction(1, 10**30)
     for deltas, level in (
-        ({1: tiny}, 0),  # a_2 + 1e-30 moves every level
-        ({0: -tiny / 2, 1: tiny}, 1),  # a_1 h_0 + a_2 h_0^2 unchanged: level 0 still holds
+        ({1: tiny}, 0),  # y_2 + 1e-30 moves every level
+        ({0: -tiny, 1: tiny}, 1),  # y_1 t_0 + y_2 t_0^2 unchanged (t_0 = 1): level 0 holds
     ):
         with pytest.raises(RuntimeError) as err:
             dial(target)

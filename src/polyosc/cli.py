@@ -209,14 +209,15 @@ def _dial_csv(body: dict) -> list[str]:
 
 def cmd_dial(args: argparse.Namespace) -> int:
     if args.request is not None:
+        # Bytes, so that json detects UTF-8, -16 or -32 (RFC 8259) and the locale plays
+        # no part; a decode error is a ValueError.  json recurses once per nesting level.
         try:
-            raw = Path(args.request).read_text()
+            payload = json.loads(Path(args.request).read_bytes())
         except OSError as err:
-            raise ValueError(f"cannot read request file: {err}") from None
-        try:
-            payload = json.loads(raw)
+            raise ValueError(f"cannot read request file {args.request}: {err.strerror}") from None
+        except ValueError as err:
+            raise ValueError(f"request file {args.request} is not JSON: {err}") from None
         except RecursionError:
-            # json's decoder recurses once per nesting level.
             raise ValueError(f"request file {args.request} is nested too deeply") from None
         target, drop = _parse_request_payload(payload)
     else:

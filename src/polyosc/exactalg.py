@@ -155,7 +155,7 @@ class PolynomialHamiltonian:
     @property
     def degree(self) -> int:
         """Highest power with a nonzero coefficient (0 for the zero polynomial)."""
-        return max((p for p, a in self.terms if a != 0), default=0)
+        return next((p for p, a in reversed(self.terms) if a), 0)
 
     def coefficient(self, power: int) -> Fraction:
         for p, a in self.terms:
@@ -164,12 +164,9 @@ class PolynomialHamiltonian:
         return Fraction(0)
 
     def dense_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficients a_1..a_P for every power up to the largest stored one."""
-        top = max((p for p, _ in self.terms), default=0)
-        dense = [Fraction(0)] * top
-        for p, a in self.terms:
-            dense[p - 1] = a
-        return tuple(dense)
+        """Coefficients a_1..a_d, d = deg P: empty for P = 0, and no stored zero above d."""
+        stored, zero = dict(self.terms), Fraction(0)
+        return tuple([stored.get(p, zero) for p in range(1, self.degree + 1)])
 
 
 def build_energy_matrix(levels: Sequence[int], powers: Sequence[int]) -> EnergyMatrix:

@@ -202,14 +202,14 @@ def _band_matvec(
 def matrix_polynomial(operator: GridOperator, ham: PolynomialHamiltonian) -> GridOperator:
     """Band of P(A) by Horner steps on probe vectors, each one band matvec.
 
-    P(A) has half width W = w p for an operator of half width w and highest stored
-    power p, clipped to k - 1.  Probe r, for r < m = min(2W + 1, k), is the sum of
+    P(A) has half width W = w deg P for an operator of half width w, clipped to
+    k - 1.  Probe r, for r < m = min(2W + 1, k), is the sum of
     the unit vectors e_j with j = r (mod m).  Row i of P(A) is nonzero only in the
     at most m consecutive columns i - W..i + W, which hold at most one column of
     each probe, so entry (i, j) of P(A) is entry (i, j mod m) of P(A) E, E holding
     the probes as columns: m products per step recover the band exactly (Curtis,
     Powell and Reid, J. Inst. Maths Applics 13, 117, 1974).  The Horner chain
-    Y <- A (Y + a_j E) runs from a_p down to a_1, from Y = 0, and ends with a
+    Y <- A (Y + a_j E) runs from a_{deg P} down to a_1, from Y = 0, and ends with a
     multiplication by A, as the zero constant term requires: the zero polynomial
     maps to the zero matrix, and a_j E adds a_j to the diagonal without forming I.
     """

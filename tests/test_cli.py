@@ -200,6 +200,16 @@ def test_dial_refuses_a_deeply_nested_request(capsys, tmp_path):
     assert (code, out, err) == (2, "", f"error: request file {path} is nested too deeply\n")
 
 
+@pytest.mark.parametrize("raw", [b'{"targets": [', b"\xff\xfe"], ids=["truncated", "utf-16-bom"])
+def test_dial_names_a_request_file_that_is_not_json(capsys, tmp_path, raw):
+    path = tmp_path / "request.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "dial", "--request", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: request file {path} is not JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_dial_missing_request_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "dial", "--request", str(tmp_path / "nope.json"))
     assert code == 2
@@ -263,6 +273,11 @@ def test_verify_quadratic_passes(capsys):
     assert "# tolerance = 0.001" in lines
     assert "# warning = none" in lines
     assert lines[-1] == "# passed = true"
+
+
+def test_verify_ignores_stored_zeros_above_the_degree(capsys):
+    assert (run_cli(capsys, "verify", "--coeffs=-13/2,1,0,0")
+            == run_cli(capsys, "verify", "--coeffs=-13/2,1"))
 
 
 def test_verify_coarse_passing_run_does_not_warn(capsys):

@@ -222,7 +222,9 @@ def test_polynomial_hamiltonian_zero_and_sparse():
     assert zero.degree == 0
     sparse = PolynomialHamiltonian(((1, Fraction(-13, 2)), (2, Fraction(1)), (4, Fraction(0))))
     assert sparse.degree == 2  # trailing explicit zero does not raise the degree
-    assert sparse.dense_coefficients() == (Fraction(-13, 2), Fraction(1), Fraction(0), Fraction(0))
+    # The dense form ends at the degree; the stored zero stays a term.
+    assert sparse.dense_coefficients() == (Fraction(-13, 2), Fraction(1))
+    assert sparse.terms[-1] == (4, Fraction(0))
 
 
 def test_energy_matrix_entries():
@@ -522,15 +524,11 @@ def test_back_check_catches_a_perturbed_coefficient(monkeypatch):
 
 
 def test_dial_identity_spectrum():
-    # asking for h_n itself must return the identity polynomial
+    # asking for h_n itself must return the identity polynomial, with every dialled
+    # power kept as a term and the dense form ending at the degree
     ham = dial(SpectrumTarget.from_energies([Fraction(2 * n + 1, 2) for n in range(5)]))
-    assert ham.dense_coefficients() == (
-        Fraction(1),
-        Fraction(0),
-        Fraction(0),
-        Fraction(0),
-        Fraction(0),
-    )
+    assert ham.terms == ((1, Fraction(1)),) + tuple((p, Fraction(0)) for p in range(2, 6))
+    assert ham.dense_coefficients() == (Fraction(1),)
 
 
 # ---------------------------------------------------------------- dial_partial

@@ -165,6 +165,15 @@ def test_matrix_polynomial_zero():
     assert np.array_equal(dense(matrix_polynomial(op, zero)), np.zeros((51, 51)))
 
 
+def test_matrix_polynomial_ignores_stored_zeros_above_the_degree():
+    # The band of P(A) has half width 2 deg P however P was stored.
+    op = build_oscillator_grid(GridSpec(half_width=6.0, points=41))
+    padded = PolynomialHamiltonian.from_dense([Fraction(-13, 2), 1, 0, 0])
+    band = matrix_polynomial(op, padded).band
+    assert band.shape == (5, 41)
+    assert np.array_equal(band, matrix_polynomial(op, QUADRATIC).band)
+
+
 def _exact_product(x, y):
     k = len(x)
     return [[sum(x[i][m] * y[m][j] for m in range(k) if x[i][m] and y[m][j]) for j in range(k)]
@@ -493,6 +502,13 @@ def test_verify_identity_oscillator():
     for n, check in enumerate(report.checks):
         assert check.analytic_energy == Fraction(2 * n + 1, 2)
         assert check.abs_error < 1e-5
+
+
+def test_verify_identity_dial_is_the_identity_report():
+    # dial stores powers 1..9 with a_2..a_9 = 0; the grid check sees P = h alone.
+    dialled = dial(SpectrumTarget.from_energies([Fraction(2 * n + 1, 2) for n in range(9)]))
+    assert len(dialled.terms) == 9
+    assert verify_dialled(dialled) == verify_dialled(IDENTITY)
 
 
 def test_verify_cubic_reordering():

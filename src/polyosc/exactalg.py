@@ -226,8 +226,8 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
 
     The route follows from the column powers alone: powers exactly 1..n are solved
     by interpolation at the nodes t_n in O(n^2), any other by Bareiss elimination of
-    the integer rows; either gives y, and x_j = 2^j y_j.  `rhs` holds one exact
-    rational per row.
+    the integer rows and back-substitution in integers; either gives y, and
+    x_j = 2^j y_j.  `rhs` holds one exact rational per row.
 
     Raises:
         RuntimeError: If the solution misses an equation on substitution (an internal
@@ -248,12 +248,11 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
         b_nums, b_den = _common_denominator(b)  # the augmented column: b over b_den
         m = [row + [c] for row, c in zip(rows, b_nums)]
         _forward_eliminate(m, n)
-        y = [Fraction(0)] * n
+        d, nums = m[n - 1][n - 1], [0] * n  # det: by Cramer, each d b_den y_i is an integer
         for i in range(n - 1, -1, -1):
-            acc = Fraction(m[i][n], b_den)
-            for j in range(i + 1, n):
-                acc -= m[i][j] * y[j]
-            y[i] = acc / m[i][i]
+            tail = sum(map(operator.mul, m[i][i + 1 : n], nums[i + 1 :]))
+            nums[i] = (d * m[i][n] - tail) // m[i][i]
+        y = [Fraction(num, d * b_den) for num in nums]
     x = [yj * (1 << j) for yj, j in zip(y, powers)]
 
     # Substitute the returned x into every integer row: over one common denominator,

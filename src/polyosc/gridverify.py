@@ -22,7 +22,6 @@ The 5-point stencil pushes the discretization error three orders of magnitude
 below the verification tolerance, for a band of half width 2 deg P instead of deg P.
 """
 
-import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -318,24 +317,23 @@ def _parity_eigenpairs(
     """Lowest `count` eigenpairs of a mirror-symmetric band, block by mirror block.
 
     Each block gives its min(count, size) lowest eigenvalues from the band reduction;
-    the two ascending lists are merged (ties to the even block) and the lowest
-    `count` kept, so an unordered block stays unordered for the caller's check.
-    Inverse iteration then runs in each block for the values it won, and the block
-    vectors are unfolded onto all k samples, in the merged order.
+    a stable sort of the even block's values followed by the odd block's merges them,
+    ties to the even block, and keeps the lowest `count`.  Inverse iteration then
+    runs in each block for the values it won, and the block vectors are unfolded onto
+    all k samples, in the merged order.
     """
-    import scipy.linalg
+    from scipy.linalg import eigvals_banded
 
     k = band.shape[1]
     half = k // 2
     blocks = _mirror_blocks(band)
-    lists = []
-    for side, block in enumerate(blocks):
+    lowest = []
+    for block in blocks:
         last = min(count, block.shape[1]) - 1
-        lowest = scipy.linalg.eigvals_banded(block, lower=True, select="i", select_range=(0, last))
-        lists.append([(value, side) for value in lowest])
-    merged = list(heapq.merge(*lists))[:count]
-    values = np.array([value for value, _ in merged])
-    sides = np.array([side for _, side in merged])
+        lowest.append(eigvals_banded(block, lower=True, select="i", select_range=(0, last)))
+    pooled = np.concatenate(lowest)
+    order = np.argsort(pooled, kind="stable")[:count]
+    values, sides = pooled[order], np.repeat([0, 1], [len(v) for v in lowest])[order]
     vectors = np.zeros((k, count))
     for side, (sign, block) in enumerate(zip((1.0, -1.0), blocks)):
         won = sides == side
@@ -486,8 +484,13 @@ def verify_dialled(
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     count = min(levels_to_check, spec.points)
 
+    # The grid side first, from P's coefficients alone; the exact side then judges it.
+    solution = diagonalize(matrix_polynomial(build_oscillator_grid(spec), ham), count)
+    node_sequence = tuple([count_nodes(vector) for vector in solution.eigenvectors.T])
+
     records = evaluate_spectrum(ham, count)
     permutation = ordering_report(records).ascending_permutation
+    sequence_matches = node_sequence == permutation
     sorted_exact = [records[level].energy for level in permutation]
     # Exact, so that no energy overflows here: close[i] links sorted positions i, i + 1.
     closeness = Fraction(DEGENERACY_FACTOR * tolerance)
@@ -495,12 +498,6 @@ def verify_dialled(
              for a, b in zip(sorted_exact, sorted_exact[1:])]
     degenerate = any(close)
     alone = [not (left or right) for left, right in zip([False, *close], [*close, False])]
-
-    solution = diagonalize(matrix_polynomial(build_oscillator_grid(spec), ham), count)
-    node_sequence = tuple(
-        count_nodes(solution.eigenvectors[:, i]) for i in range(count)
-    )
-    sequence_matches = node_sequence == permutation
 
     matched = permutation if degenerate else node_sequence
     exact = [

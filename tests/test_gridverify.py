@@ -377,6 +377,12 @@ def _mirror_basis(points):
     return even, odd
 
 
+def _parities(vectors):
+    """Per column: 1 if mirror-even, -1 if mirror-odd, bit for bit, else 0."""
+    return [1 if np.array_equal(v[::-1], v) else -1 if np.array_equal(v[::-1], -v) else 0
+            for v in vectors.T]
+
+
 @pytest.mark.parametrize("points", [3, 4, 5, 6, 11, 12, 52, 53])
 @pytest.mark.parametrize("degree", range(6))
 def test_mirror_blocks_are_the_compressions_onto_each_parity(degree, points):
@@ -407,9 +413,21 @@ def test_diagonalize_returns_every_eigenpair(points, coeffs):
     assert np.max(np.abs(sol.eigenvalues - expected)) <= 1e-13 * max(np.abs(expected).max(), 1)
     vectors = sol.eigenvectors
     assert np.max(np.abs(vectors.T @ vectors - np.eye(points))) <= 1e-12
-    parities = [1 if np.array_equal(v[::-1], v) else -1 if np.array_equal(v[::-1], -v) else 0
-                for v in vectors.T]
+    parities = _parities(vectors)
     assert parities.count(1) == points - points // 2 and parities.count(-1) == points // 2
+
+
+@pytest.mark.parametrize("points", [4, 5, 51])
+def test_diagonalize_breaks_ties_to_the_even_block(points):
+    # the zero band: every eigenvalue of both blocks is 0, and the even block's
+    # eigenvectors come first, in both the full set and a lowest few
+    op = build_oscillator_grid(GridSpec(half_width=2.0, points=points))
+    zero = matrix_polynomial(op, PolynomialHamiltonian.from_dense([Fraction(0)]))
+    even = points - points // 2
+    for count in (points, even - 1):
+        sol = diagonalize(zero, count)
+        assert np.array_equal(sol.eigenvalues, np.zeros(count))
+        assert _parities(sol.eigenvectors) == [1] * min(count, even) + [-1] * (count - even)
 
 
 @pytest.mark.parametrize("points", [400, 401])
@@ -601,12 +619,42 @@ def test_verify_quartic_at_cap_fails_without_a_warning():
 
 
 def test_verify_matches_exact_spectrum():
-    ham = PolynomialHamiltonian.from_dense([Fraction(3), Fraction(-1)])
-    report = verify_dialled(ham, levels_to_check=6)
-    for check in report.checks:
-        if check.matched_level < 6:
+    # 3h - h^2 is degenerate and matched by position, inside the window; -h is matched
+    # by node count, to levels far above it: every check carries P(h_n) of its level
+    for coeffs, outside in (([3, -1], False), ([-1], True)):
+        ham = PolynomialHamiltonian.from_dense(coeffs)
+        report = verify_dialled(ham, levels_to_check=6)
+        assert (min(check.matched_level for check in report.checks) >= 6) == outside
+        for check in report.checks:
             exact = evaluate_polynomial(ham, Fraction(2 * check.matched_level + 1, 2))
             assert check.analytic_energy == exact
+
+
+@pytest.mark.parametrize("ham", [QUADRATIC, PolynomialHamiltonian.from_dense([-1])],
+                         ids=["quadratic", "unbounded"])
+def test_verify_measures_the_grid_before_it_reads_the_exact_side(monkeypatch, ham):
+    # every exact entry point raises until count_nodes has run once per checked level,
+    # so the grid's eigenpairs and node counts are fixed before any exact energy exists
+    expected = verify_dialled(ham)
+    counted = []
+    count_nodes = gridverify.count_nodes
+
+    def counting(vector):
+        counted.append(1)
+        return count_nodes(vector)
+
+    def after_the_grid(fn):
+        def guarded(*args, **kwargs):
+            if len(counted) < 9:
+                raise AssertionError(f"{fn.__name__} ran before the grid's node counts")
+            return fn(*args, **kwargs)
+        return guarded
+
+    monkeypatch.setattr(gridverify, "count_nodes", counting)
+    for name in ("evaluate_spectrum", "ordering_report", "evaluate_polynomial"):
+        monkeypatch.setattr(gridverify, name, after_the_grid(getattr(gridverify, name)))
+    assert verify_dialled(ham) == expected
+    assert len(counted) == 9
 
 
 def test_verify_levels_validation():

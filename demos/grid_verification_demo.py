@@ -1,9 +1,10 @@
 """Check the exact spectrum against a matrix that never saw the algebra.
 
-The verifier discretizes the oscillator on a uniform grid, raises the matrix
-through the same polynomial, and diagonalizes the result with LAPACK. If the
-exact story is right, the low eigenvalues land on the dialled energies and
-each eigenvector keeps the node count of the oscillator state it came from.
+The verifier discretizes the oscillator on a uniform grid, diagonalizes that
+matrix with LAPACK and sends its eigenvalues through the same polynomial, whose
+matrix would share its eigenvectors. If the exact story is right, the lowest
+mapped values land on the dialled energies and each eigenvector keeps the node
+count of the oscillator state it came from.
 """
 
 from fractions import Fraction

@@ -1,12 +1,15 @@
 """Independent grid cross-check of dialled spectra and node ordering.
 
 The oscillator is discretized by central finite differences on a uniform grid with
-hard walls and held as a symmetric band matrix.  The polynomial is applied to it by
-Horner steps on a few probe vectors, each step one band matrix-vector product, and
-the band of P(A) is read back from the probes; the lowest eigenpairs are then
-compared against the exact analytic spectrum.  The grid is uniform on [-L, L], the
-potential even and the stencil symmetric, so P(A) commutes with the mirror x -> -x
-and its spectrum splits exactly into a block of mirror-even and one of mirror-odd
+hard walls and held as a symmetric band matrix A.  P(A) has A's eigenvectors, with
+eigenvalue P(mu) for each eigenvalue mu of A, so the verifier never forms P(A): it
+takes A's lowest modes, maps each mu through P by one float Horner step, keeps the
+lowest mapped values, counts the nodes of their eigenvectors and compares all of it
+against the exact analytic spectrum.  With a positive leading coefficient it takes
+more modes until the last one lies where P is increasing and maps above the kept
+values, so no higher mode can map lower.  The grid is uniform on [-L, L], the
+potential even and the stencil symmetric, so A commutes with the mirror x -> -x and
+its spectrum splits exactly into a block of mirror-even and one of mirror-odd
 vectors, each on about half the samples.  Each block's eigenvalues come from
 LAPACK's band reduction without eigenvectors, and each eigenvector from inverse
 iteration on one banded LU of its block, so nothing of size k x k is formed.  The
@@ -19,7 +22,7 @@ has eigenvalue error (dx^2/24)<p^4> per level, which the polynomial amplifies by
 P'(h_n); at the default spacing that amplified error (about 7e-3 near a dialled
 zero of P for the quadratic used throughout the tests) overwhelms a 1e-3 check.
 The 5-point stencil pushes the discretization error three orders of magnitude
-below the verification tolerance, for a band of half width 2 deg P instead of deg P.
+below the verification tolerance, for a band of half width 2 instead of 1.
 """
 
 import math
@@ -40,15 +43,18 @@ RESIDUAL_TOLERANCE = 1e-8
 NORM_TOLERANCE = 1e-10
 ORTHOGONALITY_TOLERANCE = 1e-8
 DEGENERACY_FACTOR = 10.0
-# The band reduction behind the eigenvalues costs O(k^2 w) time for half bandwidth
-# w = 2 deg P, run on two mirror blocks of about k/2 points; a quintic at 6001 points
-# takes about 1.2 s and under 70 MB as a `verify` process on a 2-core machine, so
-# grids above this size are refused before anything is allocated.
+# The band reduction behind the eigenvalues costs O(k^2 w) time, here on A's band of
+# half width w = 2, run on two mirror blocks of about k/2 points; `verify` at this size
+# takes about 0.8 s and 62 MB as a process on a 2-core machine, whatever the degree of
+# P, so grids above it are refused before anything is allocated.
 MAX_GRID_POINTS = 6688
 # Inverse iteration: solves per eigenvector, and the seed of the start vectors,
 # fixed so that repeated runs give identical bytes.
 INVERSE_STEPS = 3
 START_SEED = 0
+# Eigenvalues closer than this times ||A||inf share a cluster, as in LAPACK's dstein;
+# inverse iteration orthogonalises a vector only against its own cluster.
+CLUSTER_GAP = 1e-3
 
 
 def _as_real(value, name: str) -> float:
@@ -110,7 +116,7 @@ class GridOperator:
 
 @dataclass(frozen=True)
 class GridEigenSolution:
-    """Lowest eigenpairs of a grid operator: eigenvalues ascending, eigenvectors in columns."""
+    """Lowest eigenvalues of a grid operator, ascending, and eigenvectors in columns."""
 
     eigenvalues: npt.NDArray[np.float64]
     eigenvectors: npt.NDArray[np.float64]
@@ -239,9 +245,12 @@ def _inverse_iteration(
     Called once per mirror block, with the eigenvalues that block contributes.  Each
     vector takes INVERSE_STEPS solves with the LU of M - value I from a seeded
     random start (Parlett, The Symmetric Eigenvalue Problem, 1980), orthogonalised
-    after every solve against the vectors found before it in the same block: that is
-    what separates the members of an exactly degenerate pair, which share one shift
-    (a pair split across the two blocks is orthogonal by parity).  A pivot of U
+    after every solve against the vectors found before it in its cluster: the run of
+    eigenvalues in the block whose gaps are at most CLUSTER_GAP * `norm`, as in
+    LAPACK's dstein.  That is what separates the members of an exactly degenerate
+    pair, which share one shift (a pair split across the two blocks is orthogonal by
+    parity); farther apart, inverse iteration alone leaves the vectors orthogonal,
+    and diagonalize checks that they are.  A pivot of U
     smaller than one ulp of `norm` = ||A||inf of the whole operator is moved out to
     that size, as LAPACK's dlagts does: it is exactly zero where M - value I is
     singular (the zero matrix) and subnormal where the entries span the float64
@@ -259,7 +268,10 @@ def _inverse_iteration(
         general[2 * w - d, d:] = band[d, : k - d]
     rng = np.random.default_rng(START_SEED)
     vectors = np.empty((k, len(values)))
+    start = 0  # first vector of the current cluster
     for i, value in enumerate(values):
+        if i and value - values[i - 1] > CLUSTER_GAP * norm:
+            start = i
         shifted = general.copy()
         shifted[2 * w] -= value
         # info > 0 reports an exactly zero pivot, which the floor below replaces
@@ -268,7 +280,7 @@ def _inverse_iteration(
         small = np.abs(diagonal) < floor
         diagonal[small] = np.where(diagonal[small] < 0.0, -floor, floor)
         x = rng.standard_normal(k)
-        found = vectors[:, :i]
+        found = vectors[:, start:i]
         for _ in range(INVERSE_STEPS):
             x, _info = dgbtrs(lu, w, w, x, pivots)
             x -= found @ (found.T @ x)
@@ -312,36 +324,46 @@ def _mirror_blocks(
 
 
 def _parity_eigenpairs(
-    band: npt.NDArray[np.float64], count: int, norm: float
+    band: npt.NDArray[np.float64], count: int, norm: float, keep: npt.NDArray[np.intp]
 ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
-    """Lowest `count` eigenpairs of a mirror-symmetric band, block by mirror block.
+    """Lowest `count` eigenvalues of a mirror-symmetric band, block by mirror block,
+    and the eigenvectors of those at the positions `keep`, in keep's order.
 
-    Each block gives its min(count, size) lowest eigenvalues from the band reduction;
-    a stable sort of the even block's values followed by the odd block's merges them,
+    Each block first gives its min(size, ceil(count/2) + 1) lowest eigenvalues from
+    the band reduction.  A block whose last value lies strictly above the pooled
+    count-th lowest holds no more of the lowest `count`; any other is asked again for
+    min(count, size), which holds every one of them, since its own first `count` all
+    rank before the rest.  A second ask only lowers the cutoff, so one pass decides
+    both blocks, and the result is that of asking each block for `count`.
+    A stable sort of the even block's values followed by the odd block's merges them,
     ties to the even block, and keeps the lowest `count`.  Inverse iteration then
-    runs in each block for the values it won, and the block vectors are unfolded onto
-    all k samples, in the merged order.
+    runs in each block for the kept values it won, ascending, and the block vectors
+    are unfolded onto all k samples.
     """
     from scipy.linalg import eigvals_banded
+
+    def lowest(block, ask):
+        return eigvals_banded(block, lower=True, select="i", select_range=(0, ask - 1))
 
     k = band.shape[1]
     half = k // 2
     blocks = _mirror_blocks(band)
-    lowest = []
-    for block in blocks:
-        last = min(count, block.shape[1]) - 1
-        lowest.append(eigvals_banded(block, lower=True, select="i", select_range=(0, last)))
-    pooled = np.concatenate(lowest)
+    found = [lowest(block, min(block.shape[1], (count + 1) // 2 + 1)) for block in blocks]
+    cutoff = np.sort(np.concatenate(found))[count - 1]
+    for side, block in enumerate(blocks):
+        if len(found[side]) < min(count, block.shape[1]) and not cutoff < found[side][-1]:
+            found[side] = lowest(block, min(count, block.shape[1]))
+    pooled = np.concatenate(found)
     order = np.argsort(pooled, kind="stable")[:count]
-    values, sides = pooled[order], np.repeat([0, 1], [len(v) for v in lowest])[order]
-    vectors = np.zeros((k, count))
+    values, sides = pooled[order], np.repeat([0, 1], [len(v) for v in found])[order]
+    vectors = np.zeros((k, len(keep)))
     for side, (sign, block) in enumerate(zip((1.0, -1.0), blocks)):
-        won = sides == side
-        if not won.any():
+        columns = np.flatnonzero(sides[keep] == side)
+        if not columns.size:
             continue
-        u = _inverse_iteration(block, values[won], norm)
+        columns = columns[np.argsort(keep[columns])]
+        u = _inverse_iteration(block, values[keep[columns]], norm)
         folded = u[:half] * math.sqrt(0.5)
-        columns = np.flatnonzero(won)
         vectors[:half, columns] = folded
         vectors[k - half :, columns] = sign * folded[::-1]
         if block.shape[1] > half:
@@ -349,8 +371,13 @@ def _parity_eigenpairs(
     return values, vectors
 
 
-def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
-    """Lowest `count` eigenpairs of a mirror-symmetric grid operator.
+def diagonalize(
+    operator: GridOperator, count: int, keep: npt.ArrayLike | None = None
+) -> GridEigenSolution:
+    """Lowest `count` eigenvalues of a mirror-symmetric grid operator, with eigenvectors.
+
+    The eigenvectors are those of the eigenvalues at the positions `keep`, distinct
+    and below `count`, in keep's order; by default every one of them.
 
     The operator is solved as its two mirror-parity blocks (see _mirror_blocks),
     each of about k/2 samples, which quarters the band reduction and halves every
@@ -364,8 +391,9 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     pair by pair, by the residual bound ||A v - lambda v|| <= 1e-8 max(||A||inf, 1).
 
     Raises:
-        ValueError: If the operator is not mirror-symmetric, that is if
-            ||A - JAJ||inf, J the reversal of the samples, exceeds that same bound.
+        ValueError: If `keep` names a position twice or one outside 0..count-1, or
+            if the operator is not mirror-symmetric, that is if ||A - JAJ||inf, J
+            the reversal of the samples, exceeds that same bound.
         EigensolverError: On LAPACK non-convergence or a failed validity check.
     """
     import scipy.linalg
@@ -374,6 +402,9 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     count = _as_index(count, "eigenpair count", 1)
     if count > k:
         raise ValueError(f"can retain at most {k} eigenpairs, got {count}")
+    keep = np.arange(count) if keep is None else np.asarray(keep, dtype=np.intp)
+    if keep.ndim != 1 or len(np.unique(keep)) < len(keep) or np.any((keep < 0) | (keep >= count)):
+        raise ValueError(f"eigenvector positions must be distinct and below {count}")
     peak = float(np.abs(operator.band).max())
     # A power of two, so that scaling adds no rounding; the entries end up below 2.
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0.0 else 1.0
@@ -392,26 +423,26 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
             f"exceeds {RESIDUAL_TOLERANCE:.0e} * ||A||"
         )
     try:
-        values, vectors = _parity_eigenpairs(band, count, max(norm, 1.0))
+        values, vectors = _parity_eigenpairs(band, count, max(norm, 1.0), keep)
     except scipy.linalg.LinAlgError as err:
         raise EigensolverError(
             f"eigensolver failed to converge on the {k}-point band operator: {err}"
         ) from err
 
-    # Each test is written so that a NaN fails it.
+    # Each test is written so that a NaN fails it, and passes with no vector kept.
     if not np.all(np.diff(values) >= 0):
         raise EigensolverError(f"eigensolver returned non-ascending eigenvalues for size {k}")
     norms = np.linalg.norm(vectors, axis=0)
-    if not np.max(np.abs(norms - 1.0)) <= NORM_TOLERANCE:
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOLERANCE):
         raise EigensolverError(f"eigenvector norms off unity beyond {NORM_TOLERANCE} for size {k}")
-    overlap = float(np.max(np.abs(vectors.T @ vectors - np.eye(count))))
+    overlap = float(np.max(np.abs(vectors.T @ vectors - np.eye(len(keep))), initial=0.0))
     if not overlap <= ORTHOGONALITY_TOLERANCE:
         raise EigensolverError(
             f"eigenvectors off orthonormal by {overlap:.3e} beyond "
             f"{ORTHOGONALITY_TOLERANCE:.0e} for size {k}"
         )
-    residuals = _band_matvec(band, vectors) - vectors * values
-    worst = float(np.max(np.linalg.norm(residuals, axis=0)))
+    residuals = _band_matvec(band, vectors) - vectors * values[keep]
+    worst = float(np.max(np.linalg.norm(residuals, axis=0), initial=0.0))
     if not worst <= bound:
         raise EigensolverError(
             f"eigenpair residual {worst * unit:.3e} exceeds {RESIDUAL_TOLERANCE:.0e} * ||A|| "
@@ -440,6 +471,26 @@ def count_nodes(vector: npt.NDArray[np.float64]) -> int:
     return int(np.sum(signs[:-1] != signs[1:]))
 
 
+def _rises_from(dense: tuple[Fraction, ...], point: float) -> bool:
+    """Whether every coefficient of the Taylor shift P'(point + x) is >= 0.
+
+    `dense` holds a_1..a_d of P.  By Descartes' rule of signs P' then has no root
+    above `point`, so P, with a positive leading coefficient, increases on
+    [point, inf) (Collins and Akritas, SYMSAC 1976).  The shift runs in integers:
+    with point = n / q and L the common denominator of the a_j,
+    L q^(d-1) P'((n + y) / q) = sum_i (i + 1) a_{i+1} L q^(d-1-i) (n + y)^i has
+    integer coefficients in y, of the signs of P'(point + x)'s.
+    """
+    n, q = float(point).as_integer_ratio()
+    top = len(dense) - 1
+    common = math.lcm(*(a.denominator for a in dense))
+    shifted = [(i + 1) * (a * common).numerator * q ** (top - i) for i, a in enumerate(dense)]
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            shifted[j] += n * shifted[j + 1]
+    return min(shifted) >= 0
+
+
 def verify_dialled(
     ham: PolynomialHamiltonian,
     spec: GridSpec | None = None,
@@ -448,11 +499,21 @@ def verify_dialled(
 ) -> VerificationReport:
     """Cross-check a polynomial Hamiltonian's spectrum and node ordering on a grid.
 
-    The lowest eigenpairs of P(oscillator grid) are compared level by level with
-    the exact analytic spectrum, and the eigenvector node counts with the analytic
-    ascending permutation.  Disagreement produces a failure report, not an
-    exception.  Every rule is relative, so scaling P by a power of two, which scales
-    each grid eigenvalue exactly, changes no verdict:
+    The grid side reads only P's coefficients.  It diagonalises the oscillator grid A
+    for its lowest M = min(count + 2, k) modes, maps each eigenvalue mu through P by
+    float Horner (matrix_polynomial on the width-0 band of the mu), and keeps the
+    `count` lowest mapped values, ties to the lower mode, with the node counts of
+    their eigenvectors.  With a positive leading coefficient M grows by half, up to
+    k, until P(mu_{M-1}) lies strictly above the kept values and every coefficient of
+    the exact Taylor shift P'(mu_{M-1} + x) is >= 0: by Descartes' rule of signs P
+    then increases on [mu_{M-1}, inf), so no higher mode maps below the kept ones.
+    A grown M is diagonalised for its eigenvalues alone, and then for the
+    eigenvectors of the kept modes only.
+
+    The kept values are compared level by level with the exact analytic spectrum,
+    and the node counts with the analytic ascending permutation.  Disagreement
+    produces a failure report, not an exception.  Every rule is relative, so scaling
+    P by a power of two, which scales each mapped value exactly, changes no verdict:
 
     - An eigenvalue passes within `tolerance` of its exact energy, relatively; where
       that energy is 0.0 in float64, its absolute error must stay within `tolerance`
@@ -463,12 +524,12 @@ def verify_dialled(
       degenerate and eigenvalues are matched to the sorted exact spectrum by position.
     - Node counts must reproduce the permutation at every sorted position whose level
       is alone in its cluster.  Inside a cluster they are only reported, since the
-      eigensolver may mix nearly degenerate eigenvectors freely.
+      grid may order nearly equal energies either way.
 
     A negative leading coefficient makes P unbounded below on the levels, so the
     checked levels are not the lowest ones and a grid cannot confirm them: such a
-    report fails and its warning says why, even where the grid's finite spectrum
-    stops short of the levels that fall below.
+    report fails and its warning says why; its grid side maps the first M modes
+    only, and its levels may all agree.
 
     Args:
         ham: Polynomial to verify.
@@ -485,8 +546,24 @@ def verify_dialled(
     count = min(levels_to_check, spec.points)
 
     # The grid side first, from P's coefficients alone; the exact side then judges it.
-    solution = diagonalize(matrix_polynomial(build_oscillator_grid(spec), ham), count)
-    node_sequence = tuple([count_nodes(vector) for vector in solution.eigenvectors.T])
+    operator = build_oscillator_grid(spec)
+    dense = ham.dense_coefficients()
+    rising = bool(dense) and dense[-1] > 0
+    modes = min(count + 2, spec.points)
+    keep = None  # every vector of the first few modes; none of a grown M until it stops
+    while True:  # A's lowest modes mapped through P; more while a higher one may map lower
+        solution = diagonalize(operator, modes, keep)
+        mu = solution.eigenvalues
+        mapped = matrix_polynomial(GridOperator(mu[None, :]), ham).band[0]
+        kept = np.argsort(mapped, kind="stable")[:count]
+        if not rising or modes == spec.points or (
+            mapped[-1] > mapped[kept[-1]] and _rises_from(dense, mu[-1])
+        ):
+            break
+        modes, keep = min(modes + modes // 2, spec.points), ()
+    vectors = solution.eigenvectors[:, kept] if keep is None else (
+        diagonalize(operator, modes, kept).eigenvectors)
+    node_sequence = tuple([count_nodes(vector) for vector in vectors.T])
 
     records = evaluate_spectrum(ham, count)
     permutation = ordering_report(records).ascending_permutation
@@ -509,7 +586,7 @@ def verify_dialled(
     zero_floor = tolerance * min((abs(e) for e in exact_floats if e != 0.0), default=0.0)
     checks = []
     for grid_value, level, energy, exact_float in zip(
-        solution.eigenvalues.tolist(), matched, exact, exact_floats
+        mapped[kept].tolist(), matched, exact, exact_floats
     ):
         abs_error = abs(grid_value - exact_float)
         if exact_float == 0.0:

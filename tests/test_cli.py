@@ -373,7 +373,9 @@ def test_verify_energy_underflowing_float64_is_checked_absolutely(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    [zeros_then(109, "1e-280"), "--levels", "3", "--grid-points", "301"],  # mu_max^110
+    # a_110 = 1e-322 is subnormal, stored to 1.2%, and Horner's first steps round
+    # in subnormals too
+    [zeros_then(109, "1e-322"), "--levels", "3", "--grid-points", "301"],
     ["--coeffs=1", "--half-width", "1e78", "--grid-points", "11", "--levels", "3"],  # dx^4
 ], ids=["degree-110", "wide-grid"])
 def test_verify_beyond_float64_fails_without_a_warning(capsys, argv):
@@ -394,7 +396,7 @@ def test_verify_non_finite_operator_names_the_cause(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--coeffs=1", "--half-width", "1e160", "--grid-points", "51"],
-    [zeros_then(60, "1e200"), "--grid-points", "51"],
+    [zeros_then(60, "1e300"), "--grid-points", "51"],  # P(mu_10) ~ 1e300 10.5^61
 ], ids=["wide-grid", "degree-61"])
 def test_verify_overflow_prints_only_the_error_line(argv):
     # A process with Python's default warning filters: numpy's overflow warnings
@@ -409,10 +411,10 @@ def test_verify_overflow_prints_only_the_error_line(argv):
 
 def test_verify_json_is_strict_when_an_error_overflows(capsys):
     # E_0 = 1e-280 (1/2)^110 is subnormal, so level 0's relative error is inf; the
-    # narrow three-sample grid puts its grid eigenvalues far above it
+    # narrow three-sample grid puts A's lowest mode near 800, so P maps it to ~1e40
     code, out, err = run_cli(
         capsys, "verify", zeros_then(109, "1e-280"), "--levels", "3", "--grid-points", "3",
-        "--half-width", "0.05", "--format", "json",
+        "--half-width", "0.02", "--format", "json",
     )
     assert (code, err) == (4, "")
 
@@ -467,9 +469,9 @@ def test_verify_validates_eigenpairs_when_the_operator_norm_overflows(capsys):
     ]
 
 
-def test_verify_zero_polynomial_survives_singular_shifts(capsys):
-    # P(A) is the zero matrix: every shifted band is exactly singular, and any
-    # orthonormal set is an eigenbasis
+def test_verify_zero_polynomial_passes_on_every_level(capsys):
+    # P maps every mode of A to 0, so all 51 levels tie and are matched by position;
+    # the zero matrix's singular shifts are diagonalize's own tests now
     code, out, err = run_cli(capsys, "verify", "--coeffs=0", "--grid-points", "51",
                              "--levels", "51")
     assert (code, err) == (0, "")
@@ -479,19 +481,18 @@ def test_verify_zero_polynomial_survives_singular_shifts(capsys):
     assert lines[-1] == "# passed = true"
 
 
-def test_verify_unbounded_below_wall_pairs_are_resolved(capsys):
-    # P = -h: the lowest grid modes are wall modes in left/right pairs whose
-    # eigenvalues coincide; the second of each pair must come out orthogonal to the
-    # first, or diagonalize would raise and exit 5
+def test_verify_unbounded_below_fails_on_resolved_modes(capsys):
+    # P = -h: the grid maps A's lowest 11 modes only and keeps the nine lowest of
+    # them, modes 10 down to 2; each agrees with its level, and the run still fails
+    # (the wall pairs of -A itself are diagonalize's own test now)
     code, out, err = run_cli(capsys, "verify", "--coeffs=-1", "--grid-points", "401",
                              "--format", "json")
     assert (code, err) == (4, "")
     body = json.loads(out)
     assert body["warning"].startswith("P is unbounded below (leading coefficient -1 < 0)")
-    levels = body["levels"]
-    assert levels[0]["grid_eigenvalue"] == pytest.approx(levels[1]["grid_eigenvalue"],
-                                                         rel=1e-14, abs=0)
-    assert not any(level["within_tolerance"] for level in levels)
+    assert body["node_sequence"] == list(range(10, 1, -1))
+    assert all(level["within_tolerance"] for level in body["levels"])
+    assert body["passed"] is False
 
 
 def test_verify_eigensolver_failure_exits_5(capsys, monkeypatch):

@@ -348,6 +348,21 @@ def test_diagonalize_rejects_a_repeated_eigenvector(monkeypatch):
         diagonalize(op, 3)
 
 
+def test_diagonalize_computes_the_eigenvectors_asked_for():
+    # the kept positions, in the order given, are the same eigenvectors up to sign;
+    # the eigenvalues do not depend on which vectors are kept
+    op = build_oscillator_grid(GridSpec(half_width=10.0, points=401))
+    full = diagonalize(op, 12)
+    some = diagonalize(op, 12, [11, 3, 4])
+    assert np.array_equal(some.eigenvalues, full.eigenvalues)
+    overlaps = np.abs(some.eigenvectors.T @ full.eigenvectors[:, [11, 3, 4]])
+    assert np.max(np.abs(overlaps - np.eye(3))) <= 1e-10
+    assert diagonalize(op, 12, []).eigenvectors.shape == (401, 0)
+    for keep in ([1, 1], [12], [-1], [[0]]):
+        with pytest.raises(ValueError, match="distinct and below 12"):
+            diagonalize(op, 12, keep)
+
+
 @pytest.mark.parametrize("points", [51, 52, 200, 201, 401])
 @pytest.mark.parametrize("degree", range(6))
 def test_diagonalize_agrees_with_dense_eigh(degree, points):
@@ -401,11 +416,13 @@ def test_mirror_blocks_are_the_compressions_onto_each_parity(degree, points):
     ("points", "coeffs"),
     [pytest.param(points, coeffs, id=f"{points}-{'/'.join(coeffs)}")
      for points in (3, 4) for coeffs in (["1"], ["-13/2", "1"], ["1", "0", "-1"])]
-    + [pytest.param(51, ["0"], id="51-zero")],
+    + [pytest.param(51, ["0"], id="51-zero"), pytest.param(401, ["1"], id="401-1")],
 )
 def test_diagonalize_returns_every_eigenpair(points, coeffs):
     # count = k takes every eigenpair of both blocks; the zero polynomial makes every
-    # shift exactly singular, so each block must still give an orthonormal basis
+    # shift exactly singular, so each block must still give an orthonormal basis; at
+    # 401 points A's gaps exceed CLUSTER_GAP ||A|| high in its spectrum, so inverse
+    # iteration runs there without orthogonalising across them
     op = build_oscillator_grid(GridSpec(half_width=2.0, points=points))
     poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense([Fraction(c) for c in coeffs]))
     sol = diagonalize(poly, points)
@@ -428,6 +445,63 @@ def test_diagonalize_breaks_ties_to_the_even_block(points):
         sol = diagonalize(zero, count)
         assert np.array_equal(sol.eigenvalues, np.zeros(count))
         assert _parities(sol.eigenvectors) == [1] * min(count, even) + [-1] * (count - even)
+
+
+def _with_roots(roots):
+    """Dense coefficients, from power 1, of h * prod (h - r) over the roots."""
+    poly = [Fraction(0), Fraction(1)]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([Fraction(0), *poly], [*poly, Fraction(0)])]
+    return poly[1:]
+
+
+# h (h - h_0)^2 (h - h_2)^2 (h - h_4)^2: its lowest three levels are all mirror-even
+EVEN_ZEROS = _with_roots([Fraction(1, 2), Fraction(5, 2), Fraction(9, 2)] * 2)
+
+
+@pytest.mark.parametrize(
+    ("coeffs", "asked"),
+    [(["1"], [3, 3]), (["-1"], [3, 3]), (["0"], [3, 3, 4, 4]), (EVEN_ZEROS, [3, 3, 4])],
+    ids=["h", "minus-h", "zero", "even-zeros"],
+)
+def test_parity_blocks_ask_again_only_when_a_block_may_hold_more(monkeypatch, coeffs, asked):
+    # each block is first asked for ceil(4/2) + 1 = 3 values; a block whose third
+    # value is not strictly above the pooled fourth lowest is asked again for 4.  The
+    # zero band ties everywhere, and EVEN_ZEROS puts levels 0, 2, 4 and then level 1
+    # lowest, three of the four in the even block.  Reference: each block asked for 4
+    # values, pooled by a stable sort, even block first, as before the asks shrank.
+    op = build_oscillator_grid(GridSpec(half_width=6.0, points=51))
+    poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense(
+        [Fraction(c) for c in coeffs]))
+    eigvals_banded = scipy.linalg.eigvals_banded
+    seen = []
+
+    def spy(block, **kwargs):
+        seen.append(kwargs["select_range"][1] + 1)
+        return eigvals_banded(block, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy)
+    sol = diagonalize(poly, 4)
+    assert seen == asked
+    full = [eigvals_banded(block, lower=True, select="i", select_range=(0, 3))
+            for block in gridverify._mirror_blocks(poly.band)]
+    pooled = np.concatenate(full)
+    order = np.argsort(pooled, kind="stable")[:4]
+    norm = np.linalg.norm(dense(poly), np.inf)
+    assert np.max(np.abs(sol.eigenvalues - pooled[order])) <= 1e-13 * norm
+    assert _parities(sol.eigenvectors) == [1 if i < 4 else -1 for i in order]
+
+
+def test_diagonalize_resolves_the_wall_pairs_of_minus_h():
+    # P = -h: the lowest modes of P(A) are wall modes in left/right pairs whose
+    # eigenvalues coincide, one mirror-even and one mirror-odd; the second of each
+    # pair must come out orthogonal to the first, or diagonalize would raise
+    op = build_oscillator_grid(GridSpec(half_width=10.0, points=401))
+    sol = diagonalize(matrix_polynomial(op, PolynomialHamiltonian.from_dense([-1])), 9)
+    values = sol.eigenvalues
+    assert values[0] == pytest.approx(values[1], rel=1e-14, abs=0)
+    assert sorted(_parities(sol.eigenvectors[:, :2])) == [-1, 1]
+    assert np.max(np.abs(sol.eigenvectors.T @ sol.eigenvectors - np.eye(9))) <= 1e-8
 
 
 @pytest.mark.parametrize("points", [400, 401])
@@ -602,29 +676,104 @@ def test_verify_unbounded_below_fails_with_its_reason():
     )
 
 
+# dialled from -10, -11, -10/3, -57/13: bounded below, with its lowest levels near
+# n = 18, so the verifier needs 24 of A's modes before P rises past the kept ones
+FAR_QUARTIC = dial(SpectrumTarget.from_energies(
+    [Fraction(-10), Fraction(-11), Fraction(-10, 3), Fraction(-57, 13)]))
+# h^2 (h - 25)(h - 30) rises through levels 0..10 and then falls to its minimum near
+# h = 27.7: the first 11 modes map in order, and only the sign rule on P' sees past
+# them, at M = 36
+HUMP = PolynomialHamiltonian.from_dense([0, 750, -55, 1])
+# h^2 - 96/5 h is lowest at h = 9.6: beyond mode 10 it rises, but modes 11..13 still
+# map below the lowest nine of the first 11, so M grows to 16
+VALLEY = PolynomialHamiltonian.from_dense([Fraction(-96, 5), 1])
+
+
+def _diagonalize_counts(monkeypatch):
+    """The `count` of every diagonalize call verify_dialled makes, in order."""
+    diagonalize_ = gridverify.diagonalize
+    sizes = []
+    monkeypatch.setattr(gridverify, "diagonalize", lambda op, count, keep: (
+        sizes.append(count) or diagonalize_(op, count, keep)))
+    return sizes
+
+
+@pytest.mark.parametrize("points", [401, 1001])
+@pytest.mark.parametrize(
+    ("ham", "counts"),
+    [(FAR_QUARTIC, [11, 16, 24, 24]), (HUMP, [11, 16, 24, 36, 36]), (VALLEY, [11, 16, 16]),
+     (PolynomialHamiltonian.from_dense([3, 1, 4, 1, 5]), [11]), (QUADRATIC, [11]),
+     (PolynomialHamiltonian.from_dense([-1]), [11]),
+     (PolynomialHamiltonian.from_dense([0]), [11])],
+    ids=["far-quartic", "hump", "valley", "quintic", "quadratic", "minus-h", "zero"],
+)
+def test_verify_keeps_the_lowest_of_p_over_the_whole_grid_spectrum(
+    monkeypatch, ham, counts, points
+):
+    # Reference: every eigenvalue of A from one eigvals_banded call on the full band,
+    # no mirror split, mapped through P by float Horner.  The verifier must keep the
+    # nine lowest, as values and as modes, whose node count is their index.  P with a
+    # leading coefficient <= 0 has no lowest; the verifier maps A's first 11 modes.
+    # `counts` are the diagonalize calls: a grown M is solved once more for vectors.
+    spec = GridSpec(half_width=10.0, points=points)
+    mu = scipy.linalg.eigvals_banded(build_oscillator_grid(spec).band, lower=True)
+    dense_coeffs = [float(c) for c in ham.dense_coefficients()]
+    mapped = np.zeros_like(mu)
+    for c in reversed(dense_coeffs):
+        mapped = mu * (mapped + c)
+    if not (dense_coeffs and dense_coeffs[-1] > 0):
+        mapped = mapped[:11]
+    modes = np.argsort(mapped, kind="stable")[:9]
+    sizes = _diagonalize_counts(monkeypatch)
+    report = verify_dialled(ham, spec)
+    assert report.node_sequence == tuple(modes.tolist())
+    got = np.array([check.grid_eigenvalue for check in report.checks])
+    assert np.max(np.abs(got - mapped[modes])) <= 1e-9 * np.max(np.abs(mapped[modes]))
+    assert sizes == counts
+
+
+def test_verify_maps_every_mode_when_p_never_provably_rises(monkeypatch):
+    # P = h^2 - 200 h falls up to h = 100, beyond the top mode of a 21-point grid
+    # (about 52), so M grows 11 -> 16 -> 21 = k and stops at k without the rule
+    ham = PolynomialHamiltonian.from_dense([-200, 1])
+    spec = GridSpec(half_width=10.0, points=21)
+    mu = scipy.linalg.eigvals_banded(build_oscillator_grid(spec).band, lower=True)
+    lowest = np.sort(mu * (mu - 200.0))[:9]
+    sizes = _diagonalize_counts(monkeypatch)
+    report = verify_dialled(ham, spec)
+    assert sizes == [11, 16, 21, 21]
+    got = np.array([check.grid_eigenvalue for check in report.checks])
+    assert np.max(np.abs(got - lowest)) <= 1e-9 * np.max(np.abs(lowest))
+    assert not report.passed
+
+
 def test_verify_coarse_grid_fails_without_raising():
     report = verify_dialled(QUADRATIC, GridSpec(half_width=10.0, points=5))
     assert not report.passed
     assert len(report.checks) == 5  # clamped to the grid size
 
 
-def test_verify_quartic_at_cap_fails_without_a_warning():
-    # degree 4 with every coefficient at 10 pushes ||P(A)|| to ~2e16, so float64
-    # eigenvalues carry O(1) absolute noise and the 1e-3 check cannot succeed; the
-    # per-level errors show it, and P is bounded below, so nothing is warned
-    ham = PolynomialHamiltonian.from_dense([Fraction(10)] * 4)
-    report = verify_dialled(ham)
+@pytest.mark.parametrize("coeffs", [[10] * 4, [3, 1, 4, 1, 5]],
+                         ids=["quartic-at-cap", "quintic"])
+def test_verify_high_degree_passes_without_a_warning(coeffs):
+    # ||P(A)|| reaches ~2e16 for the all-10 quartic, so eigenvalues of P(A) itself
+    # would carry O(1) absolute noise; mapping A's own eigenvalues through P keeps the
+    # error at the grid's discretisation, and P is bounded below, so nothing is warned
+    report = verify_dialled(PolynomialHamiltonian.from_dense(coeffs))
     assert report.warning is None
-    assert not report.passed
+    assert report.passed
+    assert report.node_sequence == tuple(range(9))
+    assert max(check.rel_error for check in report.checks) < 1e-5
 
 
 def test_verify_matches_exact_spectrum():
     # 3h - h^2 is degenerate and matched by position, inside the window; -h is matched
-    # by node count, to levels far above it: every check carries P(h_n) of its level
+    # by node count, to A's modes count + 1 down to 2, two of them above the window:
+    # every check carries P(h_n) of its level
     for coeffs, outside in (([3, -1], False), ([-1], True)):
         ham = PolynomialHamiltonian.from_dense(coeffs)
         report = verify_dialled(ham, levels_to_check=6)
-        assert (min(check.matched_level for check in report.checks) >= 6) == outside
+        assert (max(check.matched_level for check in report.checks) >= 6) == outside
         for check in report.checks:
             exact = evaluate_polynomial(ham, Fraction(2 * check.matched_level + 1, 2))
             assert check.analytic_energy == exact

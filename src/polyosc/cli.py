@@ -275,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "position": position,
                 "grid_eigenvalue": c.grid_eigenvalue,
                 "node_count": report.node_sequence[position],
-                "matched_level": c.matched_level,
+                "matched_level": report.node_sequence[position],
                 "analytic_energy": str(c.analytic_energy),
                 "analytic_decimal": float(c.analytic_energy),
                 "abs_error": c.abs_error,

@@ -35,8 +35,8 @@ import numpy.typing as npt
 
 from . import EigensolverError
 from .exactalg import PolynomialHamiltonian
-from .oscillator import _as_index, oscillator_energy
-from .spectrum import evaluate_polynomial, evaluate_spectrum, ordering_report
+from .oscillator import _as_index
+from .spectrum import evaluate_spectrum, ordering_report
 
 SIGN_THRESHOLD_RATIO = 1e-9
 RESIDUAL_TOLERANCE = 1e-8
@@ -127,13 +127,11 @@ class LevelCheck:
     """Comparison of one grid eigenpair against its analytic counterpart.
 
     Checks run ascending by eigenvalue; check i belongs to the eigenvector whose node
-    count is the report's node_sequence[i].
+    count is the report's node_sequence[i], and is matched to that level n.
 
     Attributes:
         grid_eigenvalue: The computed grid eigenvalue.
-        matched_level: Analytic level n paired with this eigenpair (by node count,
-            or by sorted position when the spectrum is degenerate).
-        analytic_energy: Exact P(n + 1/2) for the matched level.
+        analytic_energy: Exact P(n + 1/2) for the level n of the node count.
         abs_error: |grid - analytic|.
         rel_error: abs_error / |analytic|, or None where the analytic energy is 0.0 in float64.
         within_tolerance: rel_error within the tolerance; where rel_error is None,
@@ -142,7 +140,6 @@ class LevelCheck:
     """
 
     grid_eigenvalue: float
-    matched_level: int
     analytic_energy: Fraction
     abs_error: float
     rel_error: float | None
@@ -510,21 +507,20 @@ def verify_dialled(
     A grown M is diagonalised for its eigenvalues alone, and then for the
     eigenvectors of the kept modes only.
 
-    The kept values are compared level by level with the exact analytic spectrum,
-    and the node counts with the analytic ascending permutation.  Disagreement
-    produces a failure report, not an exception.  Every rule is relative, so scaling
-    P by a power of two, which scales each mapped value exactly, changes no verdict:
-
-    - An eigenvalue passes within `tolerance` of its exact energy, relatively; where
-      that energy is 0.0 in float64, its absolute error must stay within `tolerance`
-      times the smallest nonzero |energy| among the checked levels (0 if none is).
-    - Two adjacent sorted exact energies a <= b are degenerate when
-      b - a <= DEGENERACY_FACTOR * tolerance * max(|a|, |b|); such links join the
-      sorted levels into clusters.  If any level has company the report is marked
-      degenerate and eigenvalues are matched to the sorted exact spectrum by position.
-    - Node counts must reproduce the permutation at every sorted position whose level
-      is alone in its cluster.  Inside a cluster they are only reported, since the
-      grid may order nearly equal energies either way.
+    Each kept mode is an eigenvector of A, whose eigenvalues are all simple, so its
+    node count n names its level and its mapped value is compared with the exact
+    P(n + 1/2).  The report passes if P is bounded below, the node counts are a
+    permutation of 0..count-1 and every check passes; disagreement produces a failure
+    report, not an exception.  Each check is relative, so scaling P by a power of two,
+    which scales each mapped value exactly, changes no verdict: an eigenvalue passes
+    within `tolerance` of its exact energy, relatively; where that energy is 0.0 in
+    float64, its absolute error must stay within `tolerance` times the smallest nonzero
+    |energy| among the checked levels (0 if none is).  The node order needs no rule of
+    its own: the mapped values ascend, so the exact energies taken in node order fall
+    by no more than the checks allow, and an exact tie may come in either order.
+    `sequence_matches` (the node counts are the exact ascending permutation) and
+    `degenerate` (two adjacent sorted exact energies a <= b lie within
+    b - a <= DEGENERACY_FACTOR * tolerance * max(|a|, |b|)) are for information only.
 
     A negative leading coefficient makes P unbounded below on the levels, so the
     checked levels are not the lowest ones and a grid cannot confirm them: such a
@@ -565,29 +561,17 @@ def verify_dialled(
         diagonalize(operator, modes, kept).eigenvectors)
     node_sequence = tuple([count_nodes(vector) for vector in vectors.T])
 
-    records = evaluate_spectrum(ham, count)
-    permutation = ordering_report(records).ascending_permutation
-    sequence_matches = node_sequence == permutation
+    records = evaluate_spectrum(ham, max(count, max(node_sequence) + 1))
+    permutation = ordering_report(records[:count]).ascending_permutation
     sorted_exact = [records[level].energy for level in permutation]
-    # Exact, so that no energy overflows here: close[i] links sorted positions i, i + 1.
-    closeness = Fraction(DEGENERACY_FACTOR * tolerance)
-    close = [b - a <= closeness * max(abs(a), abs(b))
-             for a, b in zip(sorted_exact, sorted_exact[1:])]
-    degenerate = any(close)
-    alone = [not (left or right) for left, right in zip([False, *close], [*close, False])]
-
-    matched = permutation if degenerate else node_sequence
-    exact = [
-        records[level].energy if level < count
-        else evaluate_polynomial(ham, oscillator_energy(level))
-        for level in matched
-    ]
+    closeness = Fraction(DEGENERACY_FACTOR * tolerance)  # exact, so that nothing overflows
+    degenerate = any(b - a <= closeness * max(abs(a), abs(b))
+                     for a, b in zip(sorted_exact, sorted_exact[1:]))
+    exact = [records[level].energy for level in node_sequence]
     exact_floats = [float(e) for e in exact]
     zero_floor = tolerance * min((abs(e) for e in exact_floats if e != 0.0), default=0.0)
     checks = []
-    for grid_value, level, energy, exact_float in zip(
-        mapped[kept].tolist(), matched, exact, exact_floats
-    ):
+    for grid_value, energy, exact_float in zip(mapped[kept].tolist(), exact, exact_floats):
         abs_error = abs(grid_value - exact_float)
         if exact_float == 0.0:
             rel_error = None
@@ -595,7 +579,7 @@ def verify_dialled(
         else:
             rel_error = abs_error / abs(exact_float)
             within = rel_error <= tolerance
-        checks.append(LevelCheck(grid_value, level, energy, abs_error, rel_error, within))
+        checks.append(LevelCheck(grid_value, energy, abs_error, rel_error, within))
 
     leading = ham.coefficient(ham.degree)
     unbounded = (
@@ -607,8 +591,7 @@ def verify_dialled(
     passed = (
         unbounded is None
         and all(c.within_tolerance for c in checks)
-        and all(n == level for n, level, single in zip(node_sequence, permutation, alone)
-                if single)
+        and sorted(node_sequence) == list(range(count))
     )
     return VerificationReport(
         spec=spec,
@@ -616,7 +599,7 @@ def verify_dialled(
         checks=tuple(checks),
         expected_sequence=permutation,
         node_sequence=node_sequence,
-        sequence_matches=sequence_matches,
+        sequence_matches=node_sequence == permutation,
         degenerate=degenerate,
         warning=unbounded,
         passed=passed,

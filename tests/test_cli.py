@@ -469,16 +469,21 @@ def test_verify_validates_eigenpairs_when_the_operator_norm_overflows(capsys):
     ]
 
 
-def test_verify_zero_polynomial_passes_on_every_level(capsys):
-    # P maps every mode of A to 0, so all 51 levels tie and are matched by position;
-    # the zero matrix's singular shifts are diagonalize's own tests now
+def test_verify_zero_polynomial_fails_where_node_counts_repeat(capsys):
+    # P maps every mode of A to 0, so all 51 levels tie and every check passes; but
+    # 51 points on [-10, 10] do not resolve A's high modes, whose node counts repeat,
+    # so the counts are no permutation of 0..50 and the run fails
     code, out, err = run_cli(capsys, "verify", "--coeffs=0", "--grid-points", "51",
                              "--levels", "51")
-    assert (code, err) == (0, "")
+    assert (code, err) == (4, "")
     lines = out.splitlines()
     assert len(lines) == 1 + 51 + 7
+    assert all(line.endswith(",true") for line in lines[1:52])
+    (nodes,) = [line for line in lines if line.startswith("# node_sequence = ")]
+    counts = [int(n) for n in nodes.split(" = ")[1].split(",")]
+    assert counts.count(31) > 1 and counts.count(32) > 1
     assert "# degenerate = true" in lines
-    assert lines[-1] == "# passed = true"
+    assert lines[-1] == "# passed = false"
 
 
 def test_verify_unbounded_below_fails_on_resolved_modes(capsys):

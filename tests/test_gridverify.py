@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -582,7 +583,7 @@ def test_verify_quadratic_defaults():
 
 def test_verify_quadratic_eigenvalues_close():
     report = verify_dialled(QUADRATIC)
-    by_level = {c.matched_level: c for c in report.checks}
+    by_level = dict(zip(report.node_sequence, report.checks))
     for level, energy in ((3, -10.5), (6, 0.0), (8, 17.0)):
         assert by_level[level].grid_eigenvalue == pytest.approx(energy, abs=2e-5)
 
@@ -637,18 +638,28 @@ def test_verify_verdict_does_not_depend_on_the_scale_of_p():
     assert rows[6] == (True, None)  # level 6, E = 0
 
 
-def test_verify_checks_nodes_of_a_level_alone_in_a_degenerate_spectrum(monkeypatch):
-    # P(h) = h^2 - 8h pairs levels n and 7 - n exactly and leaves level 8 (E = 17/4)
-    # alone at the top: its node count is checked although the spectrum is degenerate
-    ham = PolynomialHamiltonian.from_dense([Fraction(-8), Fraction(1)])
+@pytest.mark.parametrize(
+    ("ham", "swap", "gap"),
+    [(dial(SpectrumTarget.from_energies([Fraction(1), Fraction(201, 200), Fraction(5)])),
+      (0, 1), 5e-3),
+     (PolynomialHamiltonian.from_dense([-8, 1]), (7, 8), 8.0)],
+    ids=["near-tie", "exact-pairs"],
+)
+def test_verify_checks_the_node_count_of_every_level(monkeypatch, ham, swap, gap):
+    # dial(1, 201/200, 5) puts levels 0 and 1 5e-3 apart, a degenerate gap; h^2 - 8h
+    # pairs levels n and 7 - n exactly and leaves level 8 alone at the top.  Every
+    # eigenvalue of A is simple, so every mode is matched to the level of its node
+    # count: with two counts swapped, each of the two modes meets the other level's
+    # energy, off by their gap, and the report fails
     report = verify_dialled(ham)
     assert report.degenerate and report.passed
-    assert report.expected_sequence[-1] == 8
     count = gridverify.count_nodes
-    monkeypatch.setattr(gridverify, "count_nodes", lambda v: {7: 8, 8: 7}.get(count(v), count(v)))
+    a, b = swap
+    monkeypatch.setattr(gridverify, "count_nodes", lambda v: {a: b, b: a}.get(count(v), count(v)))
     report = verify_dialled(ham)
-    assert report.node_sequence[-1] == 7
-    assert all(c.within_tolerance for c in report.checks)
+    failed = {n: c.abs_error for n, c in zip(report.node_sequence, report.checks)
+              if not c.within_tolerance}
+    assert failed == {a: pytest.approx(gap, rel=1e-3), b: pytest.approx(gap, rel=1e-3)}
     assert not report.passed
 
 
@@ -767,15 +778,14 @@ def test_verify_high_degree_passes_without_a_warning(coeffs):
 
 
 def test_verify_matches_exact_spectrum():
-    # 3h - h^2 is degenerate and matched by position, inside the window; -h is matched
-    # by node count, to A's modes count + 1 down to 2, two of them above the window:
-    # every check carries P(h_n) of its level
-    for coeffs, outside in (([3, -1], False), ([-1], True)):
+    # 3h - h^2 (degenerate) and -h are both matched by node count, up to A's mode
+    # count + 1 = 7, above the window: every check carries P(h_n) of its level
+    for coeffs in ([3, -1], [-1]):
         ham = PolynomialHamiltonian.from_dense(coeffs)
         report = verify_dialled(ham, levels_to_check=6)
-        assert (max(check.matched_level for check in report.checks) >= 6) == outside
-        for check in report.checks:
-            exact = evaluate_polynomial(ham, Fraction(2 * check.matched_level + 1, 2))
+        assert max(report.node_sequence) == 7
+        for level, check in zip(report.node_sequence, report.checks):
+            exact = evaluate_polynomial(ham, Fraction(2 * level + 1, 2))
             assert check.analytic_energy == exact
 
 
@@ -800,10 +810,37 @@ def test_verify_measures_the_grid_before_it_reads_the_exact_side(monkeypatch, ha
         return guarded
 
     monkeypatch.setattr(gridverify, "count_nodes", counting)
-    for name in ("evaluate_spectrum", "ordering_report", "evaluate_polynomial"):
+    for name in ("evaluate_spectrum", "ordering_report"):
         monkeypatch.setattr(gridverify, name, after_the_grid(getattr(gridverify, name)))
     assert verify_dialled(ham) == expected
     assert len(counted) == 9
+
+
+def test_verify_passing_reports_order_the_exact_energies_within_the_checks():
+    # Seeded dials of degree 1-4, each with a near tie of its first two targets that
+    # the grid may order either way.  No rule orders the node sequence, yet in every
+    # passing report the exact energies, taken in node order, fall by no more than the
+    # two checks allow: the mapped values ascend and each lies within tolerance of
+    # its energy, or within the zero floor of an energy that is 0.0.
+    rng = random.Random(4)
+    spec = GridSpec(half_width=10.0, points=401)
+    passed = falls = 0
+    for _ in range(30):
+        energies = [Fraction(rng.randint(-60, 60), rng.randint(1, 20))
+                    for _ in range(rng.randint(1, 4))]
+        if len(energies) > 1:
+            energies[1] = energies[0] + Fraction(rng.randint(-9, 9), 10**7)
+        report = verify_dialled(dial(SpectrumTarget.from_energies(energies)), spec)
+        if not report.passed:
+            continue
+        passed += 1
+        exact = [float(check.analytic_energy) for check in report.checks]
+        floor = report.tolerance * min((abs(e) for e in exact if e != 0.0), default=0.0)
+        for a, b in zip(exact, exact[1:]):
+            falls += a > b
+            slack = report.tolerance * (abs(a) + abs(b)) + floor * ((a == 0.0) + (b == 0.0))
+            assert a - b <= slack
+    assert passed >= 10 and falls > 0
 
 
 def test_verify_levels_validation():

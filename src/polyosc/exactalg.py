@@ -18,15 +18,16 @@ uses.  It needs no pivoting: with 0 < t_0 < t_1 < ... and distinct powers, a
 generalized Vandermonde matrix with its powers sorted is strictly totally positive
 (Gantmacher and Krein, 1950; Karlin, 1968), so every leading minor in the given row
 and column order is nonzero, with the sign of the permutation that sorts its
-columns.  Either way the returned a is substituted back into every integer row, so
-a coefficient vector returned by `solve_linear_exact`, `dial` or `dial_partial`
-reproduces the requested energies with zero residual.
+columns.  Both routes stay in integers until they return a, and a is substituted back
+into every level by Horner's scheme in t_n, which neither route uses: an a returned by
+`solve_linear_exact`, `dial` or `dial_partial` reproduces its energies with zero residual.
 """
 
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .oscillator import _as_index
@@ -38,7 +39,9 @@ def _as_fraction(value) -> Fraction:
     # and so is a bool.  A string is read in ASCII without digit separators: Fraction
     # also takes non-ASCII digits, and '1_0' as 10 on Python 3.11 but not on 3.10.
     # Every other refusal, a zero denominator or None included, is a ValueError naming
-    # the value.
+    # the value.  A Fraction itself, not a subclass, is already one and passes as it is.
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (float, bool)):
         raise ValueError(f"expected an exact rational, got {type(value).__name__} {value!r}; "
                          "pass a Fraction, an int, or a 'p/q' string")
@@ -175,8 +178,10 @@ def build_energy_matrix(levels: Sequence[int], powers: Sequence[int]) -> EnergyM
 
 
 def _integer_rows(matrix: EnergyMatrix) -> list[list[int]]:
-    """The matrix in t = 2h, entry (n, j) times 2^j: t_n^j = (2n + 1)^j."""
-    return [[(2 * n + 1) ** j for j in matrix.column_powers] for n in matrix.levels]
+    """The matrix in t = 2h, entry (n, j) times 2^j: t_n^j = (2n + 1)^j, by running products."""
+    top = max(matrix.column_powers)
+    pw = [list(accumulate(repeat(2 * n + 1, top), operator.mul, initial=1)) for n in matrix.levels]
+    return [[row[j] for j in matrix.column_powers] for row in pw]
 
 
 def _forward_eliminate(m: list[list[int]], n: int) -> None:
@@ -226,8 +231,9 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
 
     The route follows from the column powers alone: powers exactly 1..n are solved
     by interpolation at the nodes t_n in O(n^2), any other by Bareiss elimination of
-    the integer rows and back-substitution in integers; either gives y, and
-    x_j = 2^j y_j.  `rhs` holds one exact rational per row.
+    the integer rows and back-substitution in integers.  Either gives y as integers
+    over one denominator, x_j = 2^j y_j is built once, and x is substituted into every
+    row by Horner's scheme in t_n.  `rhs` holds one exact rational per row.
 
     Raises:
         RuntimeError: If the solution misses an equation on substitution (an internal
@@ -238,61 +244,70 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
     if len(b) != n:
         raise ValueError(f"right-hand side has {len(b)} entries for {n} rows")
 
-    rows = _integer_rows(matrix)
     powers = matrix.column_powers
     if powers == tuple(range(1, n + 1)):
         # P(t_i) = t_i Q(t_i) = b_i: Q interpolates b_i / t_i, and y_{j+1} is Q's x^j.
         nodes = [2 * level + 1 for level in matrix.levels]
-        y = _interpolate(nodes, [bi / t for bi, t in zip(b, nodes)])
+        nums, den = _interpolate(nodes, [bi.numerator for bi in b],
+                                 [bi.denominator * t for bi, t in zip(b, nodes)])
     else:
         b_nums, b_den = _common_denominator(b)  # the augmented column: b over b_den
-        m = [row + [c] for row, c in zip(rows, b_nums)]
+        m = [row + [c] for row, c in zip(_integer_rows(matrix), b_nums)]
         _forward_eliminate(m, n)
         d, nums = m[n - 1][n - 1], [0] * n  # det: by Cramer, each d b_den y_i is an integer
         for i in range(n - 1, -1, -1):
             tail = sum(map(operator.mul, m[i][i + 1 : n], nums[i + 1 :]))
             nums[i] = (d * m[i][n] - tail) // m[i][i]
-        y = [Fraction(num, d * b_den) for num in nums]
-    x = [yj * (1 << j) for yj, j in zip(y, powers)]
+        den = d * b_den
+    x = [Fraction(c << j, den) for c, j in zip(nums, powers)]
 
-    # Substitute the returned x into every integer row: over one common denominator,
-    # 2^top y_j = 2^(top-j) x_j, and the row sum must be 2^top b_i.  No route computes
-    # this power sum, so it is the one back-check of every solve and of x = 2^j y.
+    # Substitute the returned x into every row: over one common denominator, 2^top y_j =
+    # 2^(top-j) x_j (zero at an absent power), and Horner in t_n must give 2^top b_n.  No
+    # route evaluates P this way: it is the one back-check of every solve and of x = 2^j y.
     top = max(powers)
-    nums, den = _common_denominator(x)
-    shifted = [c << (top - j) for c, j in zip(nums, powers)]
-    for level, row, bi in zip(matrix.levels, rows, b):
-        if sum(map(operator.mul, row, shifted)) * bi.denominator != (bi.numerator << top) * den:
+    x_nums, x_den = _common_denominator(x)
+    shifted = [0] * top
+    for c, j in zip(x_nums, powers):
+        shifted[top - j] = c << (top - j)  # highest power first
+    for level, bi in zip(matrix.levels, b):
+        t, acc = 2 * level + 1, 0
+        for c in shifted:
+            acc = acc * t + c
+        if acc * t * bi.denominator != (bi.numerator << top) * x_den:
             raise RuntimeError(
                 f"internal consistency failure: exact solve residual is nonzero at level {level}"
             )
     return tuple(x)
 
 
-def _interpolate(nodes: Sequence[int], values: Sequence[Fraction]) -> list[Fraction]:
-    """Monomial coefficients c_0..c_{n-1} of the polynomial taking values[i] at nodes[i].
+def _interpolate(nodes: Sequence[int], nums: Sequence[int], dens: Sequence[int]):
+    """Integers c_0..c_{n-1} and D, c_i / D the x^i coefficient of the polynomial taking
+    nums[i] / dens[i] at nodes[i].
 
     Bjorck and Pereyra's two stages, O(n^2), on distinct integer nodes: Newton
     divided differences, then the Newton form expanded into monomial coefficients.
-    Both run on integers over one common denominator for the whole vector, so only
-    the n returned Fractions are reduced.
+    Both run on integers, and no Fraction is built.
     """
     n = len(nodes)
-    c, den = _common_denominator(values)
-    # Order k: c_i <- (c_i - c_{i-1}) / (x_i - x_{i-k}); the common denominator grows
-    # by the lcm of this order's node gaps.
+    den = math.lcm(*dens)
+    c = [num * (den // d) for num, d in zip(nums, dens)]
+    # Order k: c_i <- (c_i - c_{i-1}) / (x_i - x_{i-k}) for i >= k, over a denominator
+    # grown by the lcm of this order's node gaps; c_{k-1} is final and keeps its own.
+    grows = []
     for k in range(1, n):
         grow = math.lcm(*[nodes[i] - nodes[i - k] for i in range(k, n)])
         for i in range(n - 1, k - 1, -1):
             c[i] = (c[i] - c[i - 1]) * (grow // (nodes[i] - nodes[i - k]))
-        for i in range(k):
-            c[i] *= grow
-        den *= grow
-    # Expansion c_i <- c_i - x_k c_{i+1}.
+        grows.append(grow)
+    # Expansion c_i <- c_i - x_k c_{i+1}, once c_k is brought over the last denominator:
+    # scale is the product of the grows of the orders above k.
+    scale = 1
     for k in range(n - 2, -1, -1):
+        scale *= grows[k]
+        c[k] *= scale
         for i in range(k, n - 1):
             c[i] -= nodes[k] * c[i + 1]
-    return [Fraction(ci, den) for ci in c]
+    return c, den * scale
 
 
 def dial(target: SpectrumTarget) -> PolynomialHamiltonian:

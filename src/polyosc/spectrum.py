@@ -45,8 +45,11 @@ class OrderingReport:
 def _scaled_numerators(ham: PolynomialHamiltonian, v: int) -> tuple[list[int], int]:
     # P(u / v) = sum_j s_j u^j / D: with a_j = c_j / D0, s_j = c_j v^(top-j) and D = D0 v^top.
     coeffs, den = _common_denominator(ham.dense_coefficients())
-    top = len(coeffs)
-    return [c * v ** (top - j) for j, c in enumerate(coeffs, 1)], den * v**top
+    scaled, scale = [], 1  # scale = v^(top-j), a running power from j = top down
+    for c in reversed(coeffs):
+        scaled.append(c * scale)
+        scale *= v
+    return scaled[::-1], den * scale
 
 
 def _horner(coeffs: Sequence[int], den: int, u: int) -> Fraction:

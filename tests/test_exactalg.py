@@ -47,6 +47,20 @@ def cofactor_det(rows):
     return expand(0, tuple(range(n)))
 
 
+def gauss_jordan(rows, rhs):
+    """Solve rows * x = rhs in Fractions by Gauss-Jordan elimination with row pivoting."""
+    n = len(rows)
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        p = next(r for r in range(k, n) if m[r][k])
+        m[k], m[p] = m[p], m[k]
+        m[k] = [v / m[k][k] for v in m[k]]
+        for r in range(n):
+            if r != k and m[r][k]:
+                m[r] = [a - m[r][k] * c for a, c in zip(m[r], m[k])]
+    return [row[n] for row in m]
+
+
 # ------------------------------------------------------------------ dataclasses
 
 def test_spectrum_target_from_energies():
@@ -117,6 +131,20 @@ def test_rational_strings_are_ascii_without_separators(text):
     with pytest.raises(ValueError) as err:
         exactalg._as_fraction(text)
     assert str(err.value) == f"cannot parse {text!r} as an exact rational"
+
+
+def test_exact_fraction_passes_unchanged():
+    # a Fraction is already exact and is returned as the same object; a subclass is
+    # read through Fraction() like any other value
+    f = Fraction(-15, 2)
+    assert exactalg._as_fraction(f) is f
+
+    class Half(Fraction):
+        pass
+
+    sub = Half(1, 2)
+    assert type(exactalg._as_fraction(sub)) is Fraction
+    assert exactalg._as_fraction(sub) == Fraction(1, 2)
 
 
 def test_rational_strings_keep_ascii_forms():
@@ -402,12 +430,12 @@ def test_solve_linear_exact_random_dropped_power_systems():
 def test_solve_linear_exact_residual_check_catches_a_wrong_interpolant(monkeypatch):
     interpolate = exactalg._interpolate
 
-    def off_by_tiny(nodes, values):
-        coeffs = interpolate(nodes, values)
-        coeffs[-1] += Fraction(1, 10**30)
-        return coeffs
+    def off_by_one_unit(nodes, nums, dens):
+        coeffs, den = interpolate(nodes, nums, dens)
+        coeffs[-1] += 1  # one unit of the last numerator, 1/den of the coefficient
+        return coeffs, den
 
-    monkeypatch.setattr(exactalg, "_interpolate", off_by_tiny)
+    monkeypatch.setattr(exactalg, "_interpolate", off_by_one_unit)
     matrix = build_energy_matrix(range(4), range(1, 5))
     with pytest.raises(RuntimeError, match="exact solve residual is nonzero"):
         solve_linear_exact(matrix, (Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
@@ -480,19 +508,20 @@ def test_dial_sixty_levels_round_trip():
 
 def test_back_check_catches_a_perturbed_coefficient(monkeypatch):
     # dial and dial_partial return only what solve_linear_exact's row check passed; a
-    # coefficient off by 1e-30 on either route is refused, naming the failing level.
+    # coefficient off by one unit of its numerator on either route is refused, naming
+    # the failing level.
     interpolate = exactalg._interpolate
     deltas = {}
 
-    def perturbed(nodes, values):
-        return [c + deltas.get(i, 0) for i, c in enumerate(interpolate(nodes, values))]
+    def perturbed(nodes, nums, dens):
+        coeffs, den = interpolate(nodes, nums, dens)
+        return [c + deltas.get(i, 0) for i, c in enumerate(coeffs)], den
 
     monkeypatch.setattr(exactalg, "_interpolate", perturbed)
     target = SpectrumTarget.from_energies([Fraction(-3), Fraction(-15, 2)])
-    tiny = Fraction(1, 10**30)
     for deltas, level in (
-        ({1: tiny}, 0),  # y_2 + 1e-30 moves every level
-        ({0: -tiny, 1: tiny}, 1),  # y_1 t_0 + y_2 t_0^2 unchanged (t_0 = 1): level 0 holds
+        ({1: 1}, 0),  # y_2 + 1/den moves every level
+        ({0: -1, 1: 1}, 1),  # y_1 t_0 + y_2 t_0^2 unchanged (t_0 = 1): level 0 holds
     ):
         with pytest.raises(RuntimeError) as err:
             dial(target)
@@ -581,3 +610,28 @@ def test_dial_partial_round_trip_randomized():
         ham = dial_partial(target, drop_powers=drop)
         for level, energy in pairs:
             assert evaluate_polynomial(ham, oscillator_energy(level)) == energy
+
+
+def test_integer_routes_randomized_gapped_and_sparse():
+    # Gapped levels give node gaps of different sizes within one interpolation order;
+    # sparse powers leave zeros in the back-check's Horner scheme and go through
+    # Bareiss.  Every case is re-evaluated by evaluate_polynomial at its levels, and
+    # each with N <= 8 is solved again by Fraction Gauss-Jordan on the energy rows.
+    rng = random.Random(6121)
+    cases = [sorted(rng.sample(range(3 * n), n)) for n in (4, 8, 16, 32, 48)]
+    cases = [(levels, range(1, len(levels) + 1)) for levels in cases]
+    assert all(len({b - a for a, b in zip(lv, lv[1:])}) > 1 for lv, _ in cases)
+    sparse = [(1, 40), (2, 5, 9), (3,), (1, 2, 7, 8, 30)]
+    sparse += [sorted(rng.sample(range(1, 25), rng.randrange(2, 9))) for _ in range(6)]
+    cases += [(sorted(rng.sample(range(30), len(powers))), powers) for powers in sparse]
+    for levels, powers in cases:
+        pairs = [(lvl, Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**12)))
+                 for lvl in levels]
+        drop = [p for p in range(1, max(powers) + 1) if p not in powers]
+        ham = dial_partial(SpectrumTarget(pairs), drop_powers=drop)
+        assert [p for p, _ in ham.terms] == list(powers)
+        for level, energy in pairs:
+            assert evaluate_polynomial(ham, oscillator_energy(level)) == energy
+        if len(levels) <= 8:
+            rows = energy_rows(levels, powers)
+            assert [a for _, a in ham.terms] == gauss_jordan(rows, [e for _, e in pairs])

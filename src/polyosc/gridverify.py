@@ -5,9 +5,9 @@ hard walls and held as a symmetric band matrix A.  P(A) has A's eigenvectors, wi
 eigenvalue P(mu) for each eigenvalue mu of A, so the verifier never forms P(A): it
 takes A's lowest modes, maps each mu through P by one float Horner step, keeps the
 lowest mapped values, counts the nodes of their eigenvectors and compares all of it
-against the exact analytic spectrum.  With a positive leading coefficient it takes
-more modes until the last one lies where P is increasing and maps above the kept
-values, so no higher mode can map lower.  The grid is uniform on [-L, L], the
+against the exact analytic spectrum.  Where P rises at infinity and a higher mode
+may still map lower, it asks once more for the modes up to where P provably rises,
+or fails as unresolved beyond the grid's reach.  The grid is uniform on [-L, L], the
 potential even and the stencil symmetric, so A commutes with the mirror x -> -x and
 its spectrum splits exactly into a block of mirror-even and one of mirror-odd
 vectors, each on about half the samples.  Each block's eigenvalues come from
@@ -25,6 +25,7 @@ The 5-point stencil pushes the discretization error three orders of magnitude
 below the verification tolerance, for a band of half width 2 instead of 1.
 """
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -321,10 +322,9 @@ def _mirror_blocks(
 
 
 def _parity_eigenpairs(
-    band: npt.NDArray[np.float64], count: int, norm: float, keep: npt.NDArray[np.intp]
+    band: npt.NDArray[np.float64], count: int, norm: float
 ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
-    """Lowest `count` eigenvalues of a mirror-symmetric band, block by mirror block,
-    and the eigenvectors of those at the positions `keep`, in keep's order.
+    """Lowest `count` eigenpairs of a mirror-symmetric band, block by mirror block.
 
     Each block first gives its min(size, ceil(count/2) + 1) lowest eigenvalues from
     the band reduction.  A block whose last value lies strictly above the pooled
@@ -334,8 +334,8 @@ def _parity_eigenpairs(
     both blocks, and the result is that of asking each block for `count`.
     A stable sort of the even block's values followed by the odd block's merges them,
     ties to the even block, and keeps the lowest `count`.  Inverse iteration then
-    runs in each block for the kept values it won, ascending, and the block vectors
-    are unfolded onto all k samples.
+    runs in each block for the values it won, ascending, and the block vectors are
+    unfolded onto all k samples.
     """
     from scipy.linalg import eigvals_banded
 
@@ -353,13 +353,12 @@ def _parity_eigenpairs(
     pooled = np.concatenate(found)
     order = np.argsort(pooled, kind="stable")[:count]
     values, sides = pooled[order], np.repeat([0, 1], [len(v) for v in found])[order]
-    vectors = np.zeros((k, len(keep)))
+    vectors = np.zeros((k, count))
     for side, (sign, block) in enumerate(zip((1.0, -1.0), blocks)):
-        columns = np.flatnonzero(sides[keep] == side)
+        columns = np.flatnonzero(sides == side)
         if not columns.size:
             continue
-        columns = columns[np.argsort(keep[columns])]
-        u = _inverse_iteration(block, values[keep[columns]], norm)
+        u = _inverse_iteration(block, values[columns], norm)
         folded = u[:half] * math.sqrt(0.5)
         vectors[:half, columns] = folded
         vectors[k - half :, columns] = sign * folded[::-1]
@@ -368,13 +367,8 @@ def _parity_eigenpairs(
     return values, vectors
 
 
-def diagonalize(
-    operator: GridOperator, count: int, keep: npt.ArrayLike | None = None
-) -> GridEigenSolution:
+def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     """Lowest `count` eigenvalues of a mirror-symmetric grid operator, with eigenvectors.
-
-    The eigenvectors are those of the eigenvalues at the positions `keep`, distinct
-    and below `count`, in keep's order; by default every one of them.
 
     The operator is solved as its two mirror-parity blocks (see _mirror_blocks),
     each of about k/2 samples, which quarters the band reduction and halves every
@@ -388,9 +382,8 @@ def diagonalize(
     pair by pair, by the residual bound ||A v - lambda v|| <= 1e-8 max(||A||inf, 1).
 
     Raises:
-        ValueError: If `keep` names a position twice or one outside 0..count-1, or
-            if the operator is not mirror-symmetric, that is if ||A - JAJ||inf, J
-            the reversal of the samples, exceeds that same bound.
+        ValueError: If the operator is not mirror-symmetric, that is if
+            ||A - JAJ||inf, J the reversal of the samples, exceeds that same bound.
         EigensolverError: On LAPACK non-convergence or a failed validity check.
     """
     import scipy.linalg
@@ -399,9 +392,6 @@ def diagonalize(
     count = _as_index(count, "eigenpair count", 1)
     if count > k:
         raise ValueError(f"can retain at most {k} eigenpairs, got {count}")
-    keep = np.arange(count) if keep is None else np.asarray(keep, dtype=np.intp)
-    if keep.ndim != 1 or len(np.unique(keep)) < len(keep) or np.any((keep < 0) | (keep >= count)):
-        raise ValueError(f"eigenvector positions must be distinct and below {count}")
     peak = float(np.abs(operator.band).max())
     # A power of two, so that scaling adds no rounding; the entries end up below 2.
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0.0 else 1.0
@@ -420,26 +410,26 @@ def diagonalize(
             f"exceeds {RESIDUAL_TOLERANCE:.0e} * ||A||"
         )
     try:
-        values, vectors = _parity_eigenpairs(band, count, max(norm, 1.0), keep)
+        values, vectors = _parity_eigenpairs(band, count, max(norm, 1.0))
     except scipy.linalg.LinAlgError as err:
         raise EigensolverError(
             f"eigensolver failed to converge on the {k}-point band operator: {err}"
         ) from err
 
-    # Each test is written so that a NaN fails it, and passes with no vector kept.
+    # Each test is written so that a NaN fails it.
     if not np.all(np.diff(values) >= 0):
         raise EigensolverError(f"eigensolver returned non-ascending eigenvalues for size {k}")
     norms = np.linalg.norm(vectors, axis=0)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOLERANCE):
         raise EigensolverError(f"eigenvector norms off unity beyond {NORM_TOLERANCE} for size {k}")
-    overlap = float(np.max(np.abs(vectors.T @ vectors - np.eye(len(keep))), initial=0.0))
+    overlap = float(np.max(np.abs(vectors.T @ vectors - np.eye(count))))
     if not overlap <= ORTHOGONALITY_TOLERANCE:
         raise EigensolverError(
             f"eigenvectors off orthonormal by {overlap:.3e} beyond "
             f"{ORTHOGONALITY_TOLERANCE:.0e} for size {k}"
         )
-    residuals = _band_matvec(band, vectors) - vectors * values[keep]
-    worst = float(np.max(np.linalg.norm(residuals, axis=0), initial=0.0))
+    residuals = _band_matvec(band, vectors) - vectors * values
+    worst = float(np.max(np.linalg.norm(residuals, axis=0)))
     if not worst <= bound:
         raise EigensolverError(
             f"eigenpair residual {worst * unit:.3e} exceeds {RESIDUAL_TOLERANCE:.0e} * ||A|| "
@@ -500,16 +490,18 @@ def verify_dialled(
     for its lowest M = min(count + 2, k) modes, maps each eigenvalue mu through P by
     float Horner (matrix_polynomial on the width-0 band of the mu), and keeps the
     `count` lowest mapped values, ties to the lower mode, with the node counts of
-    their eigenvectors.  With a positive leading coefficient M grows by half, up to
-    k, until P(mu_{M-1}) lies strictly above the kept values and every coefficient of
-    the exact Taylor shift P'(mu_{M-1} + x) is >= 0: by Descartes' rule of signs P
-    then increases on [mu_{M-1}, inf), so no higher mode maps below the kept ones.
-    A grown M is diagonalised for its eigenvalues alone, and then for the
-    eigenvectors of the kept modes only.
+    their eigenvectors.  For P rising at infinity and M < k, they are P's lowest if
+    P(mu_{M-1}) lies above them and P'(mu_{M-1} + x) has no negative Taylor coefficient:
+    by Descartes' rule of signs P then increases on [mu_{M-1}, inf).  If not, A is
+    solved once more for min(count + 2 + s, k) modes, s the least integer below the
+    grid's reach ceil(min(L, 1/dx)^2 / 2) at which that rule holds (the box resolves
+    modes with turning point sqrt(2 mu) < L and sqrt(2 mu) dx <= 1).  Without such an
+    s, or if that solve does not cover either, the run fails as unresolved, with the
+    rows of its last solve and a warning that says why.
 
     Each kept mode is an eigenvector of A, whose eigenvalues are all simple, so its
     node count n names its level and its mapped value is compared with the exact
-    P(n + 1/2).  The report passes if P is bounded below, the node counts are a
+    P(n + 1/2).  A resolved report passes if P is bounded below, the node counts are a
     permutation of 0..count-1 and every check passes; disagreement produces a failure
     report, not an exception.  Each check is relative, so scaling P by a power of two,
     which scales each mapped value exactly, changes no verdict: an eigenvalue passes
@@ -545,21 +537,30 @@ def verify_dialled(
     operator = build_oscillator_grid(spec)
     dense = ham.dense_coefficients()
     rising = bool(dense) and dense[-1] > 0
-    modes = min(count + 2, spec.points)
-    keep = None  # every vector of the first few modes; none of a grown M until it stops
-    while True:  # A's lowest modes mapped through P; more while a higher one may map lower
-        solution = diagonalize(operator, modes, keep)
+
+    def solve(modes):  # A's lowest modes through P, and whether none higher maps lower
+        solution = diagonalize(operator, modes)
         mu = solution.eigenvalues
         mapped = matrix_polynomial(GridOperator(mu[None, :]), ham).band[0]
         kept = np.argsort(mapped, kind="stable")[:count]
-        if not rising or modes == spec.points or (
-            mapped[-1] > mapped[kept[-1]] and _rises_from(dense, mu[-1])
-        ):
-            break
-        modes, keep = min(modes + modes // 2, spec.points), ()
-    vectors = solution.eigenvectors[:, kept] if keep is None else (
-        diagonalize(operator, modes, kept).eigenvectors)
-    node_sequence = tuple([count_nodes(vector) for vector in vectors.T])
+        return solution, mapped, kept, not rising or modes == spec.points or (
+            mapped[-1] > mapped[kept[-1]] and _rises_from(dense, mu[-1]))
+
+    # LAPACK's eigenvalues differ in their last bits with the index range asked for,
+    # so the first ask stays count + 2: any other would change the printed values.
+    solution, mapped, kept, covered = solve(min(count + 2, spec.points))
+    warning = None
+    if not covered:
+        reach = math.ceil(min(spec.half_width, 1.0 / spec.spacing) ** 2 / 2)
+        rise = bisect.bisect_left(range(reach), True, key=lambda s: _rises_from(dense, s))
+        if rise < reach:
+            solution, mapped, kept, covered = solve(min(count + 2 + rise, spec.points))
+        if not covered:
+            warning = (f"P rises only from h = {rise}" if rise < reach else
+                       f"P may still fall at h = {reach - 1}") + (
+                f", and this grid resolves only h < {reach}, so levels 0..{count - 1} "
+                "may not be its lowest")
+    node_sequence = tuple([count_nodes(vector) for vector in solution.eigenvectors[:, kept].T])
 
     records = evaluate_spectrum(ham, max(count, max(node_sequence) + 1))
     permutation = ordering_report(records[:count]).ascending_permutation
@@ -582,14 +583,11 @@ def verify_dialled(
         checks.append(LevelCheck(grid_value, energy, abs_error, rel_error, within))
 
     leading = ham.coefficient(ham.degree)
-    unbounded = (
-        f"P is unbounded below (leading coefficient {leading} < 0), so levels 0..{count - 1} "
-        "are not its lowest"
-        if leading < 0
-        else None
-    )
+    if leading < 0:
+        warning = (f"P is unbounded below (leading coefficient {leading} < 0), so levels "
+                   f"0..{count - 1} are not its lowest")
     passed = (
-        unbounded is None
+        warning is None
         and all(c.within_tolerance for c in checks)
         and sorted(node_sequence) == list(range(count))
     )
@@ -601,6 +599,6 @@ def verify_dialled(
         node_sequence=node_sequence,
         sequence_matches=node_sequence == permutation,
         degenerate=degenerate,
-        warning=unbounded,
+        warning=warning,
         passed=passed,
     )

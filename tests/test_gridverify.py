@@ -1,6 +1,9 @@
+import json
 import math
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,21 +352,6 @@ def test_diagonalize_rejects_a_repeated_eigenvector(monkeypatch):
         diagonalize(op, 3)
 
 
-def test_diagonalize_computes_the_eigenvectors_asked_for():
-    # the kept positions, in the order given, are the same eigenvectors up to sign;
-    # the eigenvalues do not depend on which vectors are kept
-    op = build_oscillator_grid(GridSpec(half_width=10.0, points=401))
-    full = diagonalize(op, 12)
-    some = diagonalize(op, 12, [11, 3, 4])
-    assert np.array_equal(some.eigenvalues, full.eigenvalues)
-    overlaps = np.abs(some.eigenvectors.T @ full.eigenvectors[:, [11, 3, 4]])
-    assert np.max(np.abs(overlaps - np.eye(3))) <= 1e-10
-    assert diagonalize(op, 12, []).eigenvectors.shape == (401, 0)
-    for keep in ([1, 1], [12], [-1], [[0]]):
-        with pytest.raises(ValueError, match="distinct and below 12"):
-            diagonalize(op, 12, keep)
-
-
 @pytest.mark.parametrize("points", [51, 52, 200, 201, 401])
 @pytest.mark.parametrize("degree", range(6))
 def test_diagonalize_agrees_with_dense_eigh(degree, points):
@@ -687,16 +675,18 @@ def test_verify_unbounded_below_fails_with_its_reason():
     )
 
 
-# dialled from -10, -11, -10/3, -57/13: bounded below, with its lowest levels near
-# n = 18, so the verifier needs 24 of A's modes before P rises past the kept ones
+# In the three cases below the first 11 modes do not cover P's lowest, and the
+# verifier asks once more for 11 + s modes, s the least integer from which the Taylor
+# shift of P' has no negative coefficient.
+# Dialled from -10, -11, -10/3, -57/13: bounded below, with its lowest levels near
+# n = 18, and s = 20
 FAR_QUARTIC = dial(SpectrumTarget.from_energies(
     [Fraction(-10), Fraction(-11), Fraction(-10, 3), Fraction(-57, 13)]))
 # h^2 (h - 25)(h - 30) rises through levels 0..10 and then falls to its minimum near
-# h = 27.7: the first 11 modes map in order, and only the sign rule on P' sees past
-# them, at M = 36
+# h = 27.7: the first 11 modes map in order, and s = 28
 HUMP = PolynomialHamiltonian.from_dense([0, 750, -55, 1])
-# h^2 - 96/5 h is lowest at h = 9.6: beyond mode 10 it rises, but modes 11..13 still
-# map below the lowest nine of the first 11, so M grows to 16
+# h^2 - 96/5 h is lowest at h = 9.6, so s = 10: beyond mode 10 it rises, but modes
+# 11..13 still map below the lowest nine of the first 11
 VALLEY = PolynomialHamiltonian.from_dense([Fraction(-96, 5), 1])
 
 
@@ -704,15 +694,15 @@ def _diagonalize_counts(monkeypatch):
     """The `count` of every diagonalize call verify_dialled makes, in order."""
     diagonalize_ = gridverify.diagonalize
     sizes = []
-    monkeypatch.setattr(gridverify, "diagonalize", lambda op, count, keep: (
-        sizes.append(count) or diagonalize_(op, count, keep)))
+    monkeypatch.setattr(gridverify, "diagonalize", lambda op, count: (
+        sizes.append(count) or diagonalize_(op, count)))
     return sizes
 
 
 @pytest.mark.parametrize("points", [401, 1001])
 @pytest.mark.parametrize(
     ("ham", "counts"),
-    [(FAR_QUARTIC, [11, 16, 24, 24]), (HUMP, [11, 16, 24, 36, 36]), (VALLEY, [11, 16, 16]),
+    [(FAR_QUARTIC, [11, 31]), (HUMP, [11, 39]), (VALLEY, [11, 21]),
      (PolynomialHamiltonian.from_dense([3, 1, 4, 1, 5]), [11]), (QUADRATIC, [11]),
      (PolynomialHamiltonian.from_dense([-1]), [11]),
      (PolynomialHamiltonian.from_dense([0]), [11])],
@@ -725,7 +715,7 @@ def test_verify_keeps_the_lowest_of_p_over_the_whole_grid_spectrum(
     # no mirror split, mapped through P by float Horner.  The verifier must keep the
     # nine lowest, as values and as modes, whose node count is their index.  P with a
     # leading coefficient <= 0 has no lowest; the verifier maps A's first 11 modes.
-    # `counts` are the diagonalize calls: a grown M is solved once more for vectors.
+    # `counts` are the diagonalize calls, at most two.
     spec = GridSpec(half_width=10.0, points=points)
     mu = scipy.linalg.eigvals_banded(build_oscillator_grid(spec).band, lower=True)
     dense_coeffs = [float(c) for c in ham.dense_coefficients()]
@@ -743,19 +733,58 @@ def test_verify_keeps_the_lowest_of_p_over_the_whole_grid_spectrum(
     assert sizes == counts
 
 
-def test_verify_maps_every_mode_when_p_never_provably_rises(monkeypatch):
-    # P = h^2 - 200 h falls up to h = 100, beyond the top mode of a 21-point grid
-    # (about 52), so M grows 11 -> 16 -> 21 = k and stops at k without the rule
-    ham = PolynomialHamiltonian.from_dense([-200, 1])
-    spec = GridSpec(half_width=10.0, points=21)
-    mu = scipy.linalg.eigvals_banded(build_oscillator_grid(spec).band, lower=True)
-    lowest = np.sort(mu * (mu - 200.0))[:9]
+# bounded below, but with its lowest levels near n = 1891
+FAR_QUINTIC = PolynomialHamiltonian.from_dense(
+    [Fraction(-2888383, 411840), Fraction(-10427, 4680), Fraction(11377, 3960),
+     Fraction(-5927, 12870), Fraction(1, 5148)])
+
+
+@pytest.mark.parametrize(
+    ("ham", "points", "reach"),
+    [(PolynomialHamiltonian.from_dense([-200, 1]), 21, 1), (FAR_QUINTIC, 801, 50)],
+    ids=["h2-200h", "far-quintic"],
+)
+def test_verify_fails_as_unresolved_when_p_never_provably_rises(monkeypatch, ham, points, reach):
+    # h^2 - 200 h falls up to h = 100, and a 21-point grid of spacing 1 resolves only
+    # h < ceil(1^2 / 2) = 1; the quintic's lowest levels lie far beyond the h < 50 that
+    # the half-width-10 box resolves at 801 points.  No s lies within reach, so the
+    # first solve is the last, its rows are kept and the report fails with the reason.
+    spec = GridSpec(half_width=10.0, points=points)
+    mu = scipy.linalg.eigvals_banded(build_oscillator_grid(spec).band, lower=True)[:11]
+    mapped = np.zeros_like(mu)
+    for c in reversed([float(c) for c in ham.dense_coefficients()]):
+        mapped = mu * (mapped + c)
+    lowest = np.sort(mapped)[:9]
     sizes = _diagonalize_counts(monkeypatch)
     report = verify_dialled(ham, spec)
-    assert sizes == [11, 16, 21, 21]
+    assert sizes == [11]
     got = np.array([check.grid_eigenvalue for check in report.checks])
     assert np.max(np.abs(got - lowest)) <= 1e-9 * np.max(np.abs(lowest))
     assert not report.passed
+    assert report.warning == (
+        f"P may still fall at h = {reach - 1}, and this grid resolves only h < {reach}, "
+        "so levels 0..8 may not be its lowest"
+    )
+
+
+def test_verify_fails_when_the_second_solve_does_not_cover(monkeypatch):
+    # The rule on P' is made to fail at every mode, though not at the integers below
+    # reach, so no solve covers: the second, of 11 + 10 modes for the valley, is the
+    # last, and its rows are those of the unpatched run, which covers at that solve.
+    spec = GridSpec(half_width=10.0, points=401)
+    expected = verify_dialled(VALLEY, spec)
+    rises_from = gridverify._rises_from
+    monkeypatch.setattr(gridverify, "_rises_from", lambda dense, point: (
+        isinstance(point, int) and rises_from(dense, point)))
+    sizes = _diagonalize_counts(monkeypatch)
+    report = verify_dialled(VALLEY, spec)
+    assert sizes == [11, 21]
+    assert report.checks == expected.checks and expected.warning is None
+    assert not report.passed
+    assert report.warning == (
+        "P rises only from h = 10, and this grid resolves only h < 50, so levels 0..8 "
+        "may not be its lowest"
+    )
 
 
 def test_verify_coarse_grid_fails_without_raising():
@@ -841,6 +870,19 @@ def test_verify_passing_reports_order_the_exact_energies_within_the_checks():
             slack = report.tolerance * (abs(a) + abs(b)) + floor * ((a == 0.0) + (b == 0.0))
             assert a - b <= slack
     assert passed >= 10 and falls > 0
+
+
+def test_verify_keeps_the_pinned_verdicts_of_the_seed_61_stream():
+    # tests/grid_verdicts.py regenerates the benchmark's seed-61 grid-verify stream
+    # and writes the discrete fields of every report; a change to any of them must
+    # show as a diff of the committed file, made by rerunning that script
+    script = runpy.run_path(str(Path(__file__).parent / "grid_verdicts.py"))
+    text = script["GOLDEN"].read_text()
+    got = script["verdicts"]()
+    for pinned, record in zip(json.loads(text), got):
+        changed = [field for field in pinned if record.get(field) != pinned[field]]
+        assert not changed, f"job {pinned['id']} changed {changed}: {record}"
+    assert script["render"](got) == text
 
 
 def test_verify_levels_validation():

@@ -6,7 +6,7 @@ eigenvalue P(mu) for each eigenvalue mu of A, so the verifier never forms P(A): 
 takes A's lowest modes, maps each mu through P by one float Horner step, keeps the
 lowest mapped values, counts the nodes of their eigenvectors and compares all of it
 against the exact analytic spectrum.  Where P rises at infinity and a higher mode
-may still map lower, it asks once more for the modes up to where P provably rises,
+may still map lower, it solves again up to where P stays above the kept values,
 or fails as unresolved beyond the grid's reach.  The grid is uniform on [-L, L], the
 potential even and the stencil symmetric, so A commutes with the mirror x -> -x and
 its spectrum splits exactly into a block of mirror-even and one of mirror-odd
@@ -458,24 +458,43 @@ def count_nodes(vector: npt.NDArray[np.float64]) -> int:
     return int(np.sum(signs[:-1] != signs[1:]))
 
 
-def _rises_from(dense: tuple[Fraction, ...], point: float) -> bool:
-    """Whether every coefficient of the Taylor shift P'(point + x) is >= 0.
+def _stays_above(dense: tuple[Fraction, ...], floor: float):
+    """The test of a point h0 that P(h) > floor for every h >= h0, decided exactly.
 
-    `dense` holds a_1..a_d of P.  By Descartes' rule of signs P' then has no root
-    above `point`, so P, with a positive leading coefficient, increases on
-    [point, inf) (Collins and Akritas, SYMSAC 1976).  The shift runs in integers:
-    with point = n / q and L the common denominator of the a_j,
-    L q^(d-1) P'((n + y) / q) = sum_i (i + 1) a_{i+1} L q^(d-1-i) (n + y)^i has
-    integer coefficients in y, of the signs of P'(point + x)'s.
+    `dense` holds a_1..a_d of P, with a_d > 0; floor and h0 are read exactly.  The
+    test holds where Q = P - floor is positive at h0 and has no real root above it,
+    which Sturm's theorem counts as the sign changes the chain Q, Q', -rem(Q, Q'), ...
+    loses between h0 and infinity; where Q has a repeated root the chain ends in
+    gcd(Q, Q') and counts distinct roots.  The chain runs in integers: each member is
+    a positive multiple of the one it stands for, reduced to content 1.
     """
-    n, q = float(point).as_integer_ratio()
-    top = len(dense) - 1
-    common = math.lcm(*(a.denominator for a in dense))
-    shifted = [(i + 1) * (a * common).numerator * q ** (top - i) for i, a in enumerate(dense)]
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
-            shifted[j] += n * shifted[j + 1]
-    return min(shifted) >= 0
+    coeffs = [-Fraction(floor), *dense]
+    common = math.lcm(*(c.denominator for c in coeffs))
+    chain = [[(c * common).numerator for c in reversed(coeffs)]]  # descending
+    chain.append([c * (len(coeffs) - 1 - i) for i, c in enumerate(chain[0][:-1])])
+    while True:
+        rest, divisor = chain[-2], chain[-1]
+        while len(rest) >= len(divisor):  # |lead| rest minus a multiple of divisor
+            f = rest[0] if divisor[0] > 0 else -rest[0]
+            rest = [abs(divisor[0]) * a - f * b
+                    for a, b in zip(rest[1:], divisor[1:] + [0] * len(rest))]
+        while rest and not rest[0]:
+            rest = rest[1:]
+        if not rest:
+            break
+        content = math.gcd(*rest)
+        chain.append([-c // content for c in rest])
+
+    def changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def test(point) -> bool:  # p(n / d) d^deg p has the sign of p(n / d)
+        n, d = float(point).as_integer_ratio()
+        values = [sum(c * n ** (len(p) - 1 - i) * d**i for i, c in enumerate(p)) for p in chain]
+        return values[0] > 0 and changes(values) == changes([p[0] for p in chain])
+
+    return test
 
 
 def verify_dialled(
@@ -491,13 +510,14 @@ def verify_dialled(
     float Horner (matrix_polynomial on the width-0 band of the mu), and keeps the
     `count` lowest mapped values, ties to the lower mode, with the node counts of
     their eigenvectors.  For P rising at infinity and M < k, they are P's lowest if
-    P(mu_{M-1}) lies above them and P'(mu_{M-1} + x) has no negative Taylor coefficient:
-    by Descartes' rule of signs P then increases on [mu_{M-1}, inf).  If not, A is
-    solved once more for min(count + 2 + s, k) modes, s the least integer below the
-    grid's reach ceil(min(L, 1/dx)^2 / 2) at which that rule holds (the box resolves
+    P(h) stays above them for every h >= mu_{M-1}, which a Sturm chain of P minus the
+    highest kept value decides exactly from P's coefficients.  If not, A is solved once
+    more for min(count + 2 + s, k) modes, s the least integer from which P stays above
+    them, sought below the grid's reach ceil(min(L, 1/dx)^2 / 2) (the box resolves
     modes with turning point sqrt(2 mu) < L and sqrt(2 mu) dx <= 1).  Without such an
-    s, or if that solve does not cover either, the run fails as unresolved, with the
-    rows of its last solve and a warning that says why.
+    s, or if the last of those modes still lies below where P stays above the kept
+    values, the run fails as unresolved, with the rows of its last solve and a warning
+    that says why.
 
     Each kept mode is an eigenvector of A, whose eigenvalues are all simple, so its
     node count n names its level and its mapped value is compared with the exact
@@ -538,28 +558,29 @@ def verify_dialled(
     dense = ham.dense_coefficients()
     rising = bool(dense) and dense[-1] > 0
 
-    def solve(modes):  # A's lowest modes through P, and whether none higher maps lower
+    def solve(modes):  # A's lowest modes, through P, and the count lowest of them
         solution = diagonalize(operator, modes)
-        mu = solution.eigenvalues
-        mapped = matrix_polynomial(GridOperator(mu[None, :]), ham).band[0]
-        kept = np.argsort(mapped, kind="stable")[:count]
-        return solution, mapped, kept, not rising or modes == spec.points or (
-            mapped[-1] > mapped[kept[-1]] and _rises_from(dense, mu[-1]))
+        mapped = matrix_polynomial(GridOperator(solution.eigenvalues[None, :]), ham).band[0]
+        return solution, mapped, np.argsort(mapped, kind="stable")[:count]
 
     # LAPACK's eigenvalues differ in their last bits with the index range asked for,
     # so the first ask stays count + 2: any other would change the printed values.
-    solution, mapped, kept, covered = solve(min(count + 2, spec.points))
+    solution, mapped, kept = solve(min(count + 2, spec.points))
     warning = None
-    if not covered:
-        reach = math.ceil(min(spec.half_width, 1.0 / spec.spacing) ** 2 / 2)
-        rise = bisect.bisect_left(range(reach), True, key=lambda s: _rises_from(dense, s))
-        if rise < reach:
-            solution, mapped, kept, covered = solve(min(count + 2 + rise, spec.points))
-        if not covered:
-            warning = (f"P rises only from h = {rise}" if rise < reach else
-                       f"P may still fall at h = {reach - 1}") + (
-                f", and this grid resolves only h < {reach}, so levels 0..{count - 1} "
-                "may not be its lowest")
+    if rising and len(mapped) < spec.points:
+        stays_above = _stays_above(dense, mapped[kept[-1]])
+        if not stays_above(solution.eigenvalues[-1]):
+            reach = math.ceil(min(spec.half_width, 1.0 / spec.spacing) ** 2 / 2)
+            rise = bisect.bisect_left(range(reach), True, key=stays_above)
+            covered = False
+            if rise < reach:  # mode count + 1 + rise lies above rise where A resolves it
+                solution, mapped, kept = solve(min(count + 2 + rise, spec.points))
+                covered = len(mapped) == spec.points or _stays_above(
+                    dense, mapped[kept[-1]])(solution.eigenvalues[-1])
+            if not covered:
+                warning = (f"P does not stay above the kept values beyond the {len(mapped)} "
+                           f"modes solved, and this grid resolves only h < {reach}, so levels "
+                           f"0..{count - 1} may not be its lowest")
     node_sequence = tuple([count_nodes(vector) for vector in solution.eigenvectors[:, kept].T])
 
     records = evaluate_spectrum(ham, max(count, max(node_sequence) + 1))

@@ -1,8 +1,8 @@
 """Pinned verdicts of the seed-61 grid-verify stream.
 
 Regenerates the first 12 rounds of `bench/jobs.py`'s RoundSource("grid-verify", 61),
-336 jobs, runs each through `verify_dialled` as the benchmark worker does (half
-width 10, nine levels, tolerance 1e-3) and records per job its id, degree, grid
+336 jobs, runs each with the benchmark worker's own `prepare_verify`, so with its
+grid and `verify_dialled` arguments, and records per job its id, degree, grid
 points, `passed`, `node_sequence` and `warning`.  No float is pinned, since the
 grid values vary in their last bits with the BLAS.  A change that alters a verdict
 reruns this script and shows the diff of the file it writes:
@@ -11,13 +11,14 @@ reruns this script and shows the diff of the file it writes:
 """
 
 import json
-import runpy
-from fractions import Fraction
+import sys
 from pathlib import Path
 
-from polyosc import GridSpec, PolynomialHamiltonian, SpectrumTarget, dial, verify_dialled
-
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import jobs  # noqa: E402
+import worker  # noqa: E402
+
 GOLDEN = ROOT / "tests" / "golden" / "grid_verdicts_seed61.json"
 SEED = 61
 ROUNDS = 12
@@ -25,16 +26,11 @@ ROUNDS = 12
 
 def verdicts() -> list[dict]:
     """One record per job of the stream, in stream order."""
-    source = runpy.run_path(str(ROOT / "bench" / "jobs.py"))["RoundSource"]("grid-verify", SEED, "")
+    source = jobs.RoundSource("grid-verify", SEED, "")
     records = []
     for _ in range(ROUNDS):
         for job in source.next_round():
-            if "coeffs" in job:
-                ham = PolynomialHamiltonian.from_dense([Fraction(c) for c in job["coeffs"]])
-            else:
-                ham = dial(SpectrumTarget.from_energies([Fraction(e) for e in job["energies"]]))
-            report = verify_dialled(ham, GridSpec(half_width=10.0, points=job["points"]),
-                                    levels_to_check=9, tolerance=1e-3)
+            ham, report = worker.prepare_verify(job)[0]()
             records.append({"id": job["id"], "degree": ham.degree, "points": job["points"],
                             "passed": report.passed,
                             "node_sequence": list(report.node_sequence),

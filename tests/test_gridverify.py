@@ -676,17 +676,18 @@ def test_verify_unbounded_below_fails_with_its_reason():
 
 
 # In the three cases below the first 11 modes do not cover P's lowest, and the
-# verifier asks once more for 11 + s modes, s the least integer from which the Taylor
-# shift of P' has no negative coefficient.
+# verifier asks once more for 11 + s modes, s the least integer from which P stays
+# above the ninth lowest of the first 11 mapped modes.
 # Dialled from -10, -11, -10/3, -57/13: bounded below, with its lowest levels near
-# n = 18, and s = 20
+# n = 18, and s = 26
 FAR_QUARTIC = dial(SpectrumTarget.from_energies(
     [Fraction(-10), Fraction(-11), Fraction(-10, 3), Fraction(-57, 13)]))
 # h^2 (h - 25)(h - 30) rises through levels 0..10 and then falls to its minimum near
-# h = 27.7: the first 11 modes map in order, and s = 28
+# h = 27.7: the first 11 modes map in order, and P passes P(8.5) again at h ~ 32.96,
+# so s = 33
 HUMP = PolynomialHamiltonian.from_dense([0, 750, -55, 1])
-# h^2 - 96/5 h is lowest at h = 9.6, so s = 10: beyond mode 10 it rises, but modes
-# 11..13 still map below the lowest nine of the first 11
+# h^2 - 96/5 h is lowest at h = 9.6 and symmetric about it: the ninth lowest of the
+# first 11 is P(2.5), which P passes again at h = 16.7, so s = 17
 VALLEY = PolynomialHamiltonian.from_dense([Fraction(-96, 5), 1])
 
 
@@ -702,7 +703,7 @@ def _diagonalize_counts(monkeypatch):
 @pytest.mark.parametrize("points", [401, 1001])
 @pytest.mark.parametrize(
     ("ham", "counts"),
-    [(FAR_QUARTIC, [11, 31]), (HUMP, [11, 39]), (VALLEY, [11, 21]),
+    [(FAR_QUARTIC, [11, 37]), (HUMP, [11, 44]), (VALLEY, [11, 28]),
      (PolynomialHamiltonian.from_dense([3, 1, 4, 1, 5]), [11]), (QUADRATIC, [11]),
      (PolynomialHamiltonian.from_dense([-1]), [11]),
      (PolynomialHamiltonian.from_dense([0]), [11])],
@@ -744,7 +745,7 @@ FAR_QUINTIC = PolynomialHamiltonian.from_dense(
     [(PolynomialHamiltonian.from_dense([-200, 1]), 21, 1), (FAR_QUINTIC, 801, 50)],
     ids=["h2-200h", "far-quintic"],
 )
-def test_verify_fails_as_unresolved_when_p_never_provably_rises(monkeypatch, ham, points, reach):
+def test_verify_fails_as_unresolved_when_p_falls_beyond_reach(monkeypatch, ham, points, reach):
     # h^2 - 200 h falls up to h = 100, and a 21-point grid of spacing 1 resolves only
     # h < ceil(1^2 / 2) = 1; the quintic's lowest levels lie far beyond the h < 50 that
     # the half-width-10 box resolves at 801 points.  No s lies within reach, so the
@@ -762,29 +763,59 @@ def test_verify_fails_as_unresolved_when_p_never_provably_rises(monkeypatch, ham
     assert np.max(np.abs(got - lowest)) <= 1e-9 * np.max(np.abs(lowest))
     assert not report.passed
     assert report.warning == (
-        f"P may still fall at h = {reach - 1}, and this grid resolves only h < {reach}, "
-        "so levels 0..8 may not be its lowest"
+        f"P does not stay above the kept values beyond the 11 modes solved, and this grid "
+        f"resolves only h < {reach}, so levels 0..8 may not be its lowest"
     )
 
 
-def test_verify_fails_when_the_second_solve_does_not_cover(monkeypatch):
-    # The rule on P' is made to fail at every mode, though not at the integers below
-    # reach, so no solve covers: the second, of 11 + 10 modes for the valley, is the
-    # last, and its rows are those of the unpatched run, which covers at that solve.
+def test_verify_fails_when_the_retry_does_not_cover(monkeypatch):
+    # Where the grid barely resolves them, modes can lie below their index: at half
+    # width 60 and 6688 points, mode s + 2 lies 2.6 below s = 1552 < reach = 1553, so a
+    # retry for 1 + 2 + s modes need not cover.  Here the test is made to fail at every
+    # mode, though not at the integers, so the valley's retry of 11 + 17 modes does not
+    # cover; its rows are those of the unpatched run, which covers there.
     spec = GridSpec(half_width=10.0, points=401)
     expected = verify_dialled(VALLEY, spec)
-    rises_from = gridverify._rises_from
-    monkeypatch.setattr(gridverify, "_rises_from", lambda dense, point: (
-        isinstance(point, int) and rises_from(dense, point)))
+    stays_above = gridverify._stays_above
+    monkeypatch.setattr(gridverify, "_stays_above", lambda dense, floor: (
+        lambda point: isinstance(point, int) and stays_above(dense, floor)(point)))
     sizes = _diagonalize_counts(monkeypatch)
     report = verify_dialled(VALLEY, spec)
-    assert sizes == [11, 21]
+    assert sizes == [11, 28]
     assert report.checks == expected.checks and expected.warning is None
     assert not report.passed
     assert report.warning == (
-        "P rises only from h = 10, and this grid resolves only h < 50, so levels 0..8 "
-        "may not be its lowest"
+        "P does not stay above the kept values beyond the 28 modes solved, and this grid "
+        "resolves only h < 50, so levels 0..8 may not be its lowest"
     )
+
+
+def test_verify_passes_where_p_rises_through_a_flat_point(monkeypatch):
+    # P = (h - 60)^3 + 216000 rises everywhere, with P' = 3 (h - 60)^2 zero at h = 60
+    # beyond the grid's reach of 50: levels 0..8 are its lowest, the first solve
+    # covers them and the report passes
+    sizes = _diagonalize_counts(monkeypatch)
+    report = verify_dialled(PolynomialHamiltonian.from_dense([10800, -180, 1]), GridSpec())
+    assert sizes == [11]
+    assert report.passed and report.warning is None
+
+
+@pytest.mark.parametrize(
+    ("dense", "floor", "points"),
+    [([10800, -180, 1], 0.0, {0.0: False, 0.5: True, 60.0: True}),
+     # (h - 5)^2 - 25 touches -25 at h = 5 only
+     ([-10, 1], -25.0, {0.0: False, 5.0: False, 5.5: True}),
+     ([-10, 1], -24.0, {4.5: False, 6.0: False, 6.000001: True}),
+     # (h^2 - 1)^2 - 1 touches -1 at h = 1, a double root of the chain's Q
+     ([0, -2, 0, 1], -1.0, {0.5: False, 1.0: False, 1.5: True}),
+     ([0, -2, 0, 1], -1.5, {0.0: True})],
+    ids=["inflection", "touch", "two-roots", "double-root", "above"],
+)
+def test_stays_above_decides_exactly(dense, floor, points):
+    # whether P(h) > floor for every h >= the point, where Descartes' rule on P' alone
+    # leaves the inflection and the double root open
+    stays_above = gridverify._stays_above(tuple(Fraction(c) for c in dense), floor)
+    assert {point: stays_above(point) for point in points} == points
 
 
 def test_verify_coarse_grid_fails_without_raising():

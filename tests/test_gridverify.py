@@ -157,111 +157,103 @@ def test_grid_eigenvalues_match_oscillator_ladder():
 
 # ---------------------------------------------------------- matrix polynomial
 
+def p_of_a(op, ham):
+    """P(A) by dense Horner on the rebuilt A, read back as its band: width w deg P < k."""
+    a, k = dense(op), op.band.shape[1]
+    coeffs = [float(c) for c in ham.dense_coefficients()]
+    matrix = np.zeros_like(a)
+    for c in reversed(coeffs):
+        matrix = a @ (matrix + c * np.eye(k))
+    band = np.zeros((min((op.band.shape[0] - 1) * len(coeffs), k - 1) + 1, k))
+    for d, row in enumerate(band):
+        row[: k - d] = np.diagonal(matrix, -d)
+    return GridOperator(band)
+
+
+def _lowest_modes(points):
+    """A's lowest 11 eigenvalues (all of them on fewer points), half width 6."""
+    op = build_oscillator_grid(GridSpec(half_width=6.0, points=points))
+    return diagonalize(op, min(11, points)).eigenvalues
+
+
 def test_matrix_polynomial_identity_returns_operator():
-    op = build_oscillator_grid(GridSpec(half_width=4.0, points=101))
-    poly = matrix_polynomial(op, IDENTITY)
-    assert np.array_equal(dense(poly), dense(op))
+    # P = h: P(A) is A itself, whose eigenvalues come back bit for bit
+    mu = _lowest_modes(101)
+    assert np.array_equal(matrix_polynomial(mu, IDENTITY), mu)
 
 
 def test_matrix_polynomial_zero():
-    op = build_oscillator_grid(GridSpec(half_width=4.0, points=51))
+    mu = _lowest_modes(51)
     zero = PolynomialHamiltonian.from_dense([Fraction(0)])
-    assert np.array_equal(dense(matrix_polynomial(op, zero)), np.zeros((51, 51)))
+    assert np.array_equal(matrix_polynomial(mu, zero), np.zeros(11))
 
 
 def test_matrix_polynomial_ignores_stored_zeros_above_the_degree():
-    # The band of P(A) has half width 2 deg P however P was stored.
-    op = build_oscillator_grid(GridSpec(half_width=6.0, points=41))
+    mu = _lowest_modes(41)
     padded = PolynomialHamiltonian.from_dense([Fraction(-13, 2), 1, 0, 0])
-    band = matrix_polynomial(op, padded).band
-    assert band.shape == (5, 41)
-    assert np.array_equal(band, matrix_polynomial(op, QUADRATIC).band)
+    assert np.array_equal(matrix_polynomial(mu, padded), matrix_polynomial(mu, QUADRATIC))
 
 
-def _exact_product(x, y):
-    k = len(x)
-    return [[sum(x[i][m] * y[m][j] for m in range(k) if x[i][m] and y[m][j]) for j in range(k)]
-            for i in range(k)]
+def test_matrix_polynomial_refuses_overflow():
+    with pytest.raises(ValueError, match=r"non-finite entries \(float64 overflow\)$"):
+        matrix_polynomial(np.array([0.5, 1e200]), PolynomialHamiltonian.from_dense([0, 1]))
 
 
-# The 21-point cases keep their degree alone as id.  On 3, 5 and 7 points the band
-# of P(A) is clipped at k - 1 for some degrees, where every probe is a unit column.
+# The 401-point cases keep their degree alone as id and map A's lowest 11 modes; on
+# 3, 5 and 7 points every mode is mapped.
 @pytest.mark.parametrize(
-    ("degree", "points"),
-    [pytest.param(degree, 21, id=str(degree)) for degree in range(6)]
-    + [pytest.param(degree, points, id=f"{degree}-{points}pts")
-       for points in (3, 5, 7) for degree in range(6)],
+    ("coeffs", "points"),
+    [pytest.param([Fraction(3 * j - 7, j + 1) for j in range(1, d + 1)], k,
+                  id=str(d) if k == 401 else f"{d}-{k}pts")
+     for k in (3, 5, 7, 401) for d in range(6)]
+    + [pytest.param([Fraction(-13, 2), 1, 0, 0], 401, id="padded")],
 )
-def test_matrix_polynomial_equals_identity_matrix_horner(degree, points):
-    # Reference: P(A) = sum_j a_j A^j in exact rationals, from the float64 entries of
-    # A and the float64 coefficients the band route uses.  The route rounds once per
-    # diagonal addition and sums at most 5 products per entry in each Horner step,
-    # so by the standard Horner induction (Higham, Accuracy and Stability of
-    # Numerical Algorithms, 2002, ch. 5) every entry lies within
-    # gamma_{6d} sum_j |a_j| (|A|^j) of the exact value, gamma_n = n u / (1 - n u).
-    op = build_oscillator_grid(GridSpec(half_width=6.0, points=points))
-    coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
+def test_matrix_polynomial_equals_identity_matrix_horner(coeffs, points):
+    # Reference: P(A) = A (a_1 I + A (a_2 I + ...)) in A's eigenbasis, A = diag(mu) and
+    # I = diag(1), in exact rationals on the float64 coefficients; the docstring's
+    # bound gamma_{2d} sum_j |a_j| |mu|^j is 0 for the zero polynomial
+    mu = _lowest_modes(points)
     ham = PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)])
-    got = dense(matrix_polynomial(op, ham))
-    a = [[Fraction(v) for v in row] for row in dense(op)]
-    a_abs = [[abs(v) for v in row] for row in a]
-    k = len(a)
-    exact = [[Fraction(0)] * k for _ in range(k)]
-    bound = [[Fraction(0)] * k for _ in range(k)]
-    power, power_abs = a, a_abs
-    for c in (Fraction(float(c)) for c in coeffs):
-        exact = [[e + c * p for e, p in zip(er, pr)] for er, pr in zip(exact, power)]
-        bound = [[b + abs(c) * p for b, p in zip(br, pr)] for br, pr in zip(bound, power_abs)]
-        power, power_abs = _exact_product(power, a), _exact_product(power_abs, a_abs)
-    n_u = Fraction(6 * degree, 2**53)
+    floats = [Fraction(float(c)) for c in ham.dense_coefficients()]
+    rounded = PolynomialHamiltonian.from_dense(floats or [Fraction(0)])
+    n_u = Fraction(2 * len(floats), 2**53)
     gamma = n_u / (1 - n_u)
-    for i in range(k):
-        for j in range(k):
-            assert abs(Fraction(got[i, j]) - exact[i][j]) <= gamma * bound[i][j], (i, j)
+    for got, m in zip(matrix_polynomial(mu, ham).tolist(), map(Fraction, mu.tolist())):
+        bound = gamma * sum(abs(c) * abs(m) ** j for j, c in enumerate(floats, 1))
+        assert abs(Fraction(got) - evaluate_polynomial(rounded, m)) <= bound, m
 
 
 def test_matrix_polynomial_trace_identity():
-    # tr P(A) must equal sum of P over the eigenvalues of A
+    # tr P(A) must equal the sum of P over the eigenvalues of A
     op = build_oscillator_grid(GridSpec(half_width=5.0, points=201))
-    poly = matrix_polynomial(op, QUADRATIC)
     lam = scipy.linalg.eigvalsh(dense(op))
-    expected = np.sum(lam**2 - 6.5 * lam)
-    assert np.trace(dense(poly)) == pytest.approx(expected, rel=1e-12)
+    expected = np.trace(dense(p_of_a(op, QUADRATIC)))
+    assert np.sum(matrix_polynomial(lam, QUADRATIC)) == pytest.approx(expected, rel=1e-12)
 
 
-def _mapping_check(ham, tail_scale):
-    """Full-spectrum spectral-mapping comparison on the default grid.
-
-    tail_scale multiplies the machine-precision floor 8 u ||B||_2, which is what
-    float matrix products leave behind once P amplifies the operator norm.
-    """
+def _mapping_check(ham):
+    """Every eigenvalue of the dense P(A) on the default grid against P over A's, to 1e-6
+    and the floor 8 u ||P(A)||_2 that float matrix products leave once P amplifies ||A||."""
     op = build_oscillator_grid(GridSpec(half_width=10.0, points=1001))
-    poly = matrix_polynomial(op, ham)
-    lam_a = scipy.linalg.eigvalsh(dense(op))
-    lam_b = scipy.linalg.eigvalsh(dense(poly))
-    coeffs = [float(c) for c in ham.dense_coefficients()]
-    mapped = np.zeros_like(lam_a)
-    for c in reversed(coeffs):
-        mapped = mapped * lam_a + c
-    mapped *= lam_a
-    mapped.sort()
-    floor = tail_scale * EPS * np.max(np.abs(lam_b))
+    lam_b = scipy.linalg.eigvalsh(dense(p_of_a(op, ham)))
+    mapped = np.sort(matrix_polynomial(scipy.linalg.eigvalsh(dense(op)), ham))
+    floor = 8.0 * EPS * np.max(np.abs(lam_b))
     for got, want in zip(lam_b, mapped):
         assert abs(got - want) <= 1e-6 * max(1.0, abs(want)) + floor
 
 
 def test_spectral_mapping_quadratic():
-    _mapping_check(QUADRATIC, tail_scale=8.0)
+    _mapping_check(QUADRATIC)
 
 
 def test_spectral_mapping_cubic():
     ham = PolynomialHamiltonian.from_dense([Fraction(-4), Fraction(0), Fraction(1)])
-    _mapping_check(ham, tail_scale=8.0)
+    _mapping_check(ham)
 
 
 def test_spectral_mapping_quartic_at_coefficient_cap():
     ham = PolynomialHamiltonian.from_dense([Fraction(10)] * 4)
-    _mapping_check(ham, tail_scale=8.0)
+    _mapping_check(ham)
 
 
 # ---------------------------------------------------------------- diagonalize
@@ -321,7 +313,7 @@ def test_diagonalize_scales_without_rounding(monkeypatch):
     # the band folded into the mirror blocks is P(A) divided by a power of two,
     # exactly: scaling by the largest entry itself would add a rounding to every entry
     op = build_oscillator_grid(GridSpec(half_width=6.0, points=51))
-    poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense([Fraction(1, 3)] * 3))
+    poly = p_of_a(op, PolynomialHamiltonian.from_dense([Fraction(1, 3)] * 3))
     mirror_blocks = gridverify._mirror_blocks
     seen = []
 
@@ -361,7 +353,7 @@ def test_diagonalize_agrees_with_dense_eigh(degree, points):
     # have no centre sample
     op = build_oscillator_grid(GridSpec(half_width=6.0, points=points))
     coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
-    poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)]))
+    poly = p_of_a(op, PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)]))
     matrix = dense(poly)
     expected = scipy.linalg.eigh(matrix, eigvals_only=True, subset_by_index=[0, 8])
     got = diagonalize(poly, 9).eigenvalues
@@ -394,7 +386,7 @@ def test_mirror_blocks_are_the_compressions_onto_each_parity(degree, points):
     # the folded band rounds once per cross term and once per sqrt(1/2) scaling
     op = build_oscillator_grid(GridSpec(half_width=6.0, points=points))
     coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
-    poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)]))
+    poly = p_of_a(op, PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)]))
     matrix = dense(poly)
     for basis, block in zip(_mirror_basis(points), gridverify._mirror_blocks(poly.band)):
         expected = basis.T @ matrix @ basis
@@ -413,7 +405,7 @@ def test_diagonalize_returns_every_eigenpair(points, coeffs):
     # 401 points A's gaps exceed CLUSTER_GAP ||A|| high in its spectrum, so inverse
     # iteration runs there without orthogonalising across them
     op = build_oscillator_grid(GridSpec(half_width=2.0, points=points))
-    poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense([Fraction(c) for c in coeffs]))
+    poly = p_of_a(op, PolynomialHamiltonian.from_dense([Fraction(c) for c in coeffs]))
     sol = diagonalize(poly, points)
     expected = scipy.linalg.eigvalsh(dense(poly))
     assert np.max(np.abs(sol.eigenvalues - expected)) <= 1e-13 * max(np.abs(expected).max(), 1)
@@ -428,7 +420,7 @@ def test_diagonalize_breaks_ties_to_the_even_block(points):
     # the zero band: every eigenvalue of both blocks is 0, and the even block's
     # eigenvectors come first, in both the full set and a lowest few
     op = build_oscillator_grid(GridSpec(half_width=2.0, points=points))
-    zero = matrix_polynomial(op, PolynomialHamiltonian.from_dense([Fraction(0)]))
+    zero = p_of_a(op, PolynomialHamiltonian.from_dense([Fraction(0)]))
     even = points - points // 2
     for count in (points, even - 1):
         sol = diagonalize(zero, count)
@@ -460,7 +452,7 @@ def test_parity_blocks_ask_again_only_when_a_block_may_hold_more(monkeypatch, co
     # lowest, three of the four in the even block.  Reference: each block asked for 4
     # values, pooled by a stable sort, even block first, as before the asks shrank.
     op = build_oscillator_grid(GridSpec(half_width=6.0, points=51))
-    poly = matrix_polynomial(op, PolynomialHamiltonian.from_dense(
+    poly = p_of_a(op, PolynomialHamiltonian.from_dense(
         [Fraction(c) for c in coeffs]))
     eigvals_banded = scipy.linalg.eigvals_banded
     seen = []
@@ -486,7 +478,7 @@ def test_diagonalize_resolves_the_wall_pairs_of_minus_h():
     # eigenvalues coincide, one mirror-even and one mirror-odd; the second of each
     # pair must come out orthogonal to the first, or diagonalize would raise
     op = build_oscillator_grid(GridSpec(half_width=10.0, points=401))
-    sol = diagonalize(matrix_polynomial(op, PolynomialHamiltonian.from_dense([-1])), 9)
+    sol = diagonalize(p_of_a(op, PolynomialHamiltonian.from_dense([-1])), 9)
     values = sol.eigenvalues
     assert values[0] == pytest.approx(values[1], rel=1e-14, abs=0)
     assert sorted(_parities(sol.eigenvectors[:, :2])) == [-1, 1]

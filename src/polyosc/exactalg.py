@@ -9,17 +9,22 @@ N levels therefore means solving the N x N linear system
 whose matrix is a generalized Vandermonde matrix in the oscillator energies, held
 as its row levels and column powers alone.  All arithmetic here is exact, in the odd
 integer t = 2h: with P(h) = sum_j y_j t^j, y_j = a_j / 2^j, the matrix becomes the
-integers t_n^j, t_n = 2n + 1, and a_j = 2^j y_j.  With powers 1..N, row n is
-t_n (1, t_n, ..., t_n^{N-1}), so the system is polynomial interpolation of E_n / t_n
-at the distinct nodes t_n, solved by Newton divided differences in O(N^2) (Bjorck
-and Pereyra, Math. Comp. 24, 1970).  Every other power list goes through
-fraction-free (Bareiss) elimination of the integer rows, which `determinant` also
-uses.  It needs no pivoting: with 0 < t_0 < t_1 < ... and distinct powers, a
-generalized Vandermonde matrix with its powers sorted is strictly totally positive
-(Gantmacher and Krein, 1950; Karlin, 1968), so every leading minor in the given row
-and column order is nonzero, with the sign of the permutation that sorts its
-columns.  Both routes stay in integers until they return a, and a is substituted back
-into every level by Horner's scheme in t_n, which neither route uses: an a returned by
+integers t_n^j, t_n = 2n + 1, and a_j = 2^j y_j.  In P(t) = t Q(t), y_p is Q's x^(p-1)
+coefficient and Q takes E_n / t_n at the N nodes t_n, so every solve interpolates by
+Newton divided differences in O(N^2) (Bjorck and Pereyra, Math. Comp. 24, 1970).  That
+L, of degree below N, is the answer for powers 1..N.  Otherwise m = max(powers) - N
+powers below the top one are missing, Q = L + W R with W = prod (x - t_n), deg R < m,
+and Q's coefficients at the missing powers vanish: an m x m integer system, solved by
+fraction-free (Bareiss) elimination as `determinant` solves the full matrix.  Neither
+pivots.  With 0 < t_0 < t_1 < ... and distinct powers, a generalized Vandermonde
+matrix with its powers sorted is strictly totally positive (Gantmacher and Krein,
+1950; Karlin, 1968), so every leading minor in the given row and column order is
+nonzero, with the sign of the permutation that sorts its columns.  The first r missing
+powers are at most N + r - 1, the top power being kept, so the leading r x r block of
+the m x m system is the system for powers 1..N+r less those r: with zero right sides
+that energy matrix forces Q = 0, so R = 0, and the block is nonsingular.  The solve
+stays in integers until it returns a, and a is substituted back into every level by
+Horner's scheme in t_n, which the solve does not use: an a returned by
 `solve_linear_exact`, `dial` or `dial_partial` reproduces its energies with zero residual.
 """
 
@@ -27,7 +32,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
 from typing import Sequence
 
 from .oscillator import _as_index
@@ -177,19 +181,13 @@ def build_energy_matrix(levels: Sequence[int], powers: Sequence[int]) -> EnergyM
     return EnergyMatrix(levels, powers)
 
 
-def _integer_rows(matrix: EnergyMatrix) -> list[list[int]]:
-    """The matrix in t = 2h, entry (n, j) times 2^j: t_n^j = (2n + 1)^j, by running products."""
-    top = max(matrix.column_powers)
-    pw = [list(accumulate(repeat(2 * n + 1, top), operator.mul, initial=1)) for n in matrix.levels]
-    return [[row[j] for j in matrix.column_powers] for row in pw]
-
-
 def _forward_eliminate(m: list[list[int]], n: int) -> None:
     """Fraction-free (Bareiss) elimination of the first n columns, in place, unpivoted.
 
     Rows may be wider than n (augmented columns ride along).  Afterwards m[k][k] is
-    the leading (k+1) x (k+1) minor of the integer rows, nonzero for an energy matrix,
-    and the division in each update is exact by Sylvester's identity.
+    the leading (k+1) x (k+1) minor of the integer rows, nonzero for an energy matrix
+    and for the missing-power system (see the module docstring), and the division in
+    each update is exact by Sylvester's identity.
     """
     prev = 1
     for k in range(n):
@@ -210,7 +208,7 @@ def determinant(matrix: EnergyMatrix) -> Fraction:
     j of the matrix times 2^j, so the determinant is det[t_n^j] / 2^(sum of powers).
     """
     n = len(matrix.levels)
-    m = _integer_rows(matrix)
+    m = [[(2 * level + 1) ** j for j in matrix.column_powers] for level in matrix.levels]
     _forward_eliminate(m, n)
     return Fraction(m[n - 1][n - 1], 1 << sum(matrix.column_powers))
 
@@ -229,11 +227,10 @@ def determinant_closed_form(n: int) -> Fraction:
 def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, ...]:
     """Solve the square system matrix * x = rhs exactly, re-checked against every equation.
 
-    The route follows from the column powers alone: powers exactly 1..n are solved
-    by interpolation at the nodes t_n in O(n^2), any other by Bareiss elimination of
-    the integer rows and back-substitution in integers.  Either gives y as integers
-    over one denominator, x_j = 2^j y_j is built once, and x is substituted into every
-    row by Horner's scheme in t_n.  `rhs` holds one exact rational per row.
+    Q(t) = P(t) / t interpolates b_n / t_n at the nodes t_n, and an m x m Bareiss system
+    clears the m = max(powers) - n missing powers, if any (see the module docstring), in
+    integers over one denominator.  x_j = 2^j y_j is built once and substituted into
+    every row by Horner's scheme in t_n.  `rhs` holds one exact rational per row.
 
     Raises:
         RuntimeError: If the solution misses an equation on substitution (an internal
@@ -244,27 +241,32 @@ def solve_linear_exact(matrix: EnergyMatrix, rhs: Sequence) -> tuple[Fraction, .
     if len(b) != n:
         raise ValueError(f"right-hand side has {len(b)} entries for {n} rows")
 
-    powers = matrix.column_powers
-    if powers == tuple(range(1, n + 1)):
-        # P(t_i) = t_i Q(t_i) = b_i: Q interpolates b_i / t_i, and y_{j+1} is Q's x^j.
-        nodes = [2 * level + 1 for level in matrix.levels]
-        nums, den = _interpolate(nodes, [bi.numerator for bi in b],
-                                 [bi.denominator * t for bi, t in zip(b, nodes)])
-    else:
-        b_nums, b_den = _common_denominator(b)  # the augmented column: b over b_den
-        m = [row + [c] for row, c in zip(_integer_rows(matrix), b_nums)]
-        _forward_eliminate(m, n)
-        d, nums = m[n - 1][n - 1], [0] * n  # det: by Cramer, each d b_den y_i is an integer
-        for i in range(n - 1, -1, -1):
-            tail = sum(map(operator.mul, m[i][i + 1 : n], nums[i + 1 :]))
-            nums[i] = (d * m[i][n] - tail) // m[i][i]
-        den = d * b_den
-    x = [Fraction(c << j, den) for c, j in zip(nums, powers)]
+    powers, top = matrix.column_powers, max(matrix.column_powers)
+    # P(t_i) = t_i Q(t_i) = b_i: L interpolates b_i / t_i, and y_p is Q's x^(p-1).
+    nodes = [2 * level + 1 for level in matrix.levels]
+    nums, den = _interpolate(nodes, [bi.numerator for bi in b],
+                             [bi.denominator * t for bi, t in zip(b, nodes)])
+    if top > n:  # powers are not a permutation of 1..n: Q = L + W R, deg R < m
+        m, w = top - n, [1]
+        for t in nodes:  # W = prod (x - t), ascending coefficients
+            w = [a - t * c for a, c in zip([0] + w, w + [0])]
+        # Q's x^k coefficient is L_k + rows[k] . R, rows[k][i] = w_{k-i}; zero at a missing k + 1
+        w, nums = [0] * m + w + [0] * m, nums + [0] * m
+        rows = [w[k + 1 : k + 1 + m][::-1] for k in range(top)]
+        system = [rows[g - 1] + [-nums[g - 1]]
+                  for g in sorted(set(range(1, top)).difference(powers))]
+        _forward_eliminate(system, m)
+        d, r = system[m - 1][m - 1], [0] * m  # by Cramer, each r_i = d den R_i is an integer
+        for i in range(m - 1, -1, -1):
+            tail = sum(map(operator.mul, system[i][i + 1 : m], r[i + 1 :]))
+            r[i] = (d * system[i][m] - tail) // system[i][i]
+        nums = [d * c + sum(map(operator.mul, row, r)) for c, row in zip(nums, rows)]
+        den *= d  # Q = (d L_num + W r) / (d den), all over one denominator
+    x = [Fraction(nums[j - 1] << j, den) for j in powers]
 
     # Substitute the returned x into every row: over one common denominator, 2^top y_j =
-    # 2^(top-j) x_j (zero at an absent power), and Horner in t_n must give 2^top b_n.  No
-    # route evaluates P this way: it is the one back-check of every solve and of x = 2^j y.
-    top = max(powers)
+    # 2^(top-j) x_j (zero at an absent power), and Horner in t_n must give 2^top b_n.  The
+    # solve never evaluates P this way: it is the one back-check of every solve and of x = 2^j y.
     x_nums, x_den = _common_denominator(x)
     shifted = [0] * top
     for c, j in zip(x_nums, powers):

@@ -35,7 +35,7 @@ import numpy as np
 import numpy.typing as npt
 
 from . import EigensolverError
-from .exactalg import PolynomialHamiltonian
+from .exactalg import PolynomialHamiltonian, _common_denominator
 from .oscillator import _as_index
 from .spectrum import evaluate_spectrum, ordering_report
 
@@ -213,14 +213,14 @@ def matrix_polynomial(
     once, so by the standard Horner induction (Higham, Accuracy and Stability of
     Numerical Algorithms, 2002, ch. 5) each value lies within
     gamma_{2 deg P} sum_j |a_j| |mu|^j of the exact P(mu) on the float coefficients,
-    gamma_n = n u / (1 - n u).  A non-finite value raises ValueError.
+    gamma_n = n u / (1 - n u).  A non-finite value raises ValueError naming P(mu).
     """
     y = np.zeros_like(eigenvalues)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         for coeff in reversed([float(c) for c in ham.dense_coefficients()]):
             y = (y + coeff) * eigenvalues
     if not np.all(np.isfinite(y)):
-        raise ValueError("grid operator has non-finite entries (float64 overflow)")
+        raise ValueError("P(mu) is not finite in float64 (overflow)")
     return y
 
 
@@ -457,10 +457,8 @@ def _stays_above(dense: tuple[Fraction, ...], floor: float):
     gcd(Q, Q') and counts distinct roots.  The chain runs in integers: each member is
     a positive multiple of the one it stands for, reduced to content 1.
     """
-    coeffs = [-Fraction(floor), *dense]
-    common = math.lcm(*(c.denominator for c in coeffs))
-    chain = [[(c * common).numerator for c in reversed(coeffs)]]  # descending
-    chain.append([c * (len(coeffs) - 1 - i) for i, c in enumerate(chain[0][:-1])])
+    chain = [_common_denominator([-Fraction(floor), *dense])[0][::-1]]  # descending
+    chain.append([c * (len(dense) - i) for i, c in enumerate(chain[0][:-1])])
     while True:
         rest, divisor = chain[-2], chain[-1]
         while len(rest) >= len(divisor):  # |lead| rest minus a multiple of divisor

@@ -394,11 +394,13 @@ def test_verify_non_finite_operator_names_the_cause(capsys):
     assert err.splitlines()[-1] == "error: grid operator has non-finite entries (float64 overflow)"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--coeffs=1", "--half-width", "1e160", "--grid-points", "51"],
-    [zeros_then(60, "1e300"), "--grid-points", "51"],  # P(mu_10) ~ 1e300 10.5^61
+@pytest.mark.parametrize(("argv", "error"), [
+    (["--coeffs=1", "--half-width", "1e160", "--grid-points", "51"],
+     "grid operator has non-finite entries (float64 overflow)"),
+    ([zeros_then(60, "1e300"), "--grid-points", "51"],  # P(mu_10) ~ 1e300 10.5^61
+     "P(mu) is not finite in float64 (overflow)"),
 ], ids=["wide-grid", "degree-61"])
-def test_verify_overflow_prints_only_the_error_line(argv):
+def test_verify_overflow_prints_only_the_error_line(argv, error):
     # A process with Python's default warning filters: numpy's overflow warnings
     # would print the install path and source lines ahead of the error.
     src = str(Path(cli.__file__).parents[1])
@@ -406,7 +408,7 @@ def test_verify_overflow_prints_only_the_error_line(argv):
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: grid operator has non-finite entries (float64 overflow)\n"
+    assert proc.stderr == f"error: {error}\n"
 
 
 def test_verify_json_is_strict_when_an_error_overflows(capsys):

@@ -1,3 +1,4 @@
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -259,14 +260,9 @@ def test_energy_matrix_entries():
     matrix = build_energy_matrix(range(3), range(1, 4))
     assert matrix.levels == (0, 1, 2)
     assert matrix.column_powers == (1, 2, 3)
-    # entries (h_n)^j in t_n = 2 h_n, column j times 2^j: row 0 is (1/2, 1/4, 1/8)
-    # times (2, 4, 8), row 2 is (5/2, 25/4, 125/8) times the same
-    rows = exactalg._integer_rows(matrix)
-    assert rows[0] == [1, 1, 1]
-    assert rows[2] == [5, 25, 125]
-    # gapped levels and unordered powers: each column by its own power of 2
-    rows = exactalg._integer_rows(build_energy_matrix([1, 4], [3, 1]))
-    assert rows == [[27, 3], [729, 9]]
+    # gapped levels and unordered powers are kept as given
+    matrix = build_energy_matrix([1, 4], [3, 1])
+    assert (matrix.levels, matrix.column_powers) == ((1, 4), (3, 1))
 
 
 def test_energy_matrix_validation():
@@ -397,8 +393,9 @@ def counting_eliminations(monkeypatch):
 
 
 def test_interpolation_and_elimination_agree_on_gapped_levels(monkeypatch):
-    # Powers 1..n are solved by interpolation; listing them as n..1 sends the same
-    # system through Bareiss elimination.
+    # Every solve interpolates.  Powers 1..n in any order eliminate nothing and return
+    # the permuted solution; m powers missing below the top one eliminate the m x m
+    # system alone.
     calls = counting_eliminations(monkeypatch)
     rng = random.Random(20240)
     for _ in range(30):
@@ -406,16 +403,24 @@ def test_interpolation_and_elimination_agree_on_gapped_levels(monkeypatch):
         levels = sorted(rng.sample(range(n + rng.randrange(0, 2 * n)), n))
         rhs = [Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4)) for _ in range(n)]
         ascending = solve_linear_exact(build_energy_matrix(levels, range(1, n + 1)), rhs)
-        assert calls == []
         descending = solve_linear_exact(build_energy_matrix(levels, range(n, 0, -1)), rhs)
-        assert calls == [n]
-        calls.clear()
+        order = rng.sample(range(1, n + 1), n)
+        shuffled = solve_linear_exact(build_energy_matrix(levels, order), rhs)
+        assert calls == []
         assert ascending == descending[::-1]
+        assert shuffled == tuple([ascending[p - 1] for p in order])
+        m = rng.randrange(1, 6)
+        powers = rng.sample(range(1, n + m), n - 1) + [n + m]
+        rng.shuffle(powers)
+        x = solve_linear_exact(build_energy_matrix(levels, powers), rhs)
+        assert calls == [m]
+        calls.clear()
+        assert list(x) == gauss_jordan(energy_rows(levels, powers), rhs)
 
 
 def test_solve_linear_exact_random_dropped_power_systems():
-    # dropped and shuffled powers over gapped levels: solved by elimination, checked
-    # here by Fraction substitution into the energy rows
+    # dropped and shuffled powers over gapped levels: interpolation plus the missing-power
+    # system, checked here by Fraction substitution into the energy rows
     rng = random.Random(4711)
     for _ in range(40):
         n = rng.randrange(1, 8)
@@ -439,6 +444,30 @@ def test_solve_linear_exact_residual_check_catches_a_wrong_interpolant(monkeypat
     matrix = build_energy_matrix(range(4), range(1, 5))
     with pytest.raises(RuntimeError, match="exact solve residual is nonzero"):
         solve_linear_exact(matrix, (Fraction(1), Fraction(2), Fraction(3), Fraction(5)))
+
+
+def test_solve_linear_exact_random_missing_power_corrections():
+    # Gapped levels, m = max(powers) - n from 0 to 20 and shuffled power order: the
+    # interpolant plus its m x m correction must satisfy every row of the energy matrix,
+    # and reproduce Fraction Gauss-Jordan where n is small.
+    rng = random.Random(2525)
+    seen = set()
+    for case in range(210):
+        n, m = rng.randrange(1, 9), case % 21
+        levels = sorted(rng.sample(range(n + rng.randrange(0, 2 * n + 1)), n))
+        powers = rng.sample(range(1, n + m), n - 1) + [n + m]
+        rng.shuffle(powers)
+        digits = rng.randrange(1, 13)
+        rhs = [Fraction(rng.randrange(-10**digits, 10**digits), rng.randrange(1, 10**digits + 1))
+               for _ in range(n)]
+        x = solve_linear_exact(build_energy_matrix(levels, powers), rhs)
+        rows = energy_rows(levels, powers)
+        for row, b in zip(rows, rhs):
+            assert sum(map(operator.mul, row, x), start=Fraction(0)) == b
+        if n <= 4:
+            assert list(x) == gauss_jordan(rows, rhs)
+        seen.add(m)
+    assert seen == set(range(21))
 
 
 def test_solve_linear_exact_residual_check_catches_a_wrong_elimination(monkeypatch):
@@ -508,8 +537,8 @@ def test_dial_sixty_levels_round_trip():
 
 def test_back_check_catches_a_perturbed_coefficient(monkeypatch):
     # dial and dial_partial return only what solve_linear_exact's row check passed; a
-    # coefficient off by one unit of its numerator on either route is refused, naming
-    # the failing level.
+    # coefficient off by one unit of its numerator, from the interpolation or from the
+    # missing-power system, is refused, naming the failing level.
     interpolate = exactalg._interpolate
     deltas = {}
 
@@ -529,13 +558,14 @@ def test_back_check_catches_a_perturbed_coefficient(monkeypatch):
             f"internal consistency failure: exact solve residual is nonzero at level {level}"
         )
 
+    monkeypatch.setattr(exactalg, "_interpolate", interpolate)  # dial_partial interpolates too
     forward = exactalg._forward_eliminate
     calls = []
 
     def off_in_last_row(m, n):
         forward(m, n)
         calls.append(len(m))
-        m[-1][-1] += 1  # the last right-hand side, which fixes the highest retained power
+        m[-1][-1] += 1  # the right-hand side of the last missing power's equation
 
     rng = random.Random(1212)
     pairs = tuple((lvl, Fraction(rng.randrange(-999, 999), rng.randrange(1, 99)))
@@ -544,7 +574,7 @@ def test_back_check_catches_a_perturbed_coefficient(monkeypatch):
     monkeypatch.setattr(exactalg, "_forward_eliminate", off_in_last_row)
     with pytest.raises(RuntimeError) as err:
         dial_partial(SpectrumTarget(pairs), drop_powers=[3, 7])
-    assert calls == [12]  # the Bareiss route
+    assert calls == [2]  # the 2 x 2 system of the missing powers 3 and 7
     level = int(str(err.value).rpartition(" ")[2])
     assert level in {lvl for lvl, _ in pairs}
     assert str(err.value) == (
@@ -614,8 +644,8 @@ def test_dial_partial_round_trip_randomized():
 
 def test_integer_routes_randomized_gapped_and_sparse():
     # Gapped levels give node gaps of different sizes within one interpolation order;
-    # sparse powers leave zeros in the back-check's Horner scheme and go through
-    # Bareiss.  Every case is re-evaluated by evaluate_polynomial at its levels, and
+    # sparse powers leave zeros in the back-check's Horner scheme and a large
+    # missing-power system.  Every case is re-evaluated by evaluate_polynomial at its levels, and
     # each with N <= 8 is solved again by Fraction Gauss-Jordan on the energy rows.
     rng = random.Random(6121)
     cases = [sorted(rng.sample(range(3 * n), n)) for n in (4, 8, 16, 32, 48)]

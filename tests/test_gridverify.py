@@ -195,7 +195,7 @@ def test_matrix_polynomial_ignores_stored_zeros_above_the_degree():
 
 
 def test_matrix_polynomial_refuses_overflow():
-    with pytest.raises(ValueError, match=r"non-finite entries \(float64 overflow\)$"):
+    with pytest.raises(ValueError, match=r"^P\(mu\) is not finite in float64 \(overflow\)$"):
         matrix_polynomial(np.array([0.5, 1e200]), PolynomialHamiltonian.from_dense([0, 1]))
 
 

@@ -10,12 +10,12 @@ may still map lower, it solves again up to where P stays above the kept values,
 or fails as unresolved beyond the grid's reach.  The grid is uniform on [-L, L], the
 potential even and the stencil symmetric, so A commutes with the mirror x -> -x and
 its spectrum splits exactly into a block of mirror-even and one of mirror-odd
-vectors, each on about half the samples.  Each block's eigenvalues come from
-LAPACK's band reduction without eigenvectors, and each eigenvector from inverse
-iteration on one banded LU of its block, so nothing of size k x k is formed.  The
-parity is a symmetry of the discretisation, not of the exact answer, and because
-the route runs through an eigensolver rather than the defining linear system,
-agreement is evidence and not tautology.
+vectors, each on about half the samples.  Each block's lowest eigenpairs come from
+shift-invert Lanczos on one banded Cholesky factor of the block, checked complete by
+a Sturm count, so nothing of size k x k is formed.  The parity is a symmetry of the
+discretisation, not of the exact answer, and because the route runs through an
+eigensolver rather than the defining linear system, agreement is evidence and not
+tautology.
 
 The Laplacian stencil is the 5-point fourth-order one.  The classic 3-point stencil
 has eigenvalue error (dx^2/24)<p^4> per level, which the polynomial amplifies by
@@ -44,18 +44,18 @@ RESIDUAL_TOLERANCE = 1e-8
 NORM_TOLERANCE = 1e-10
 ORTHOGONALITY_TOLERANCE = 1e-8
 DEGENERACY_FACTOR = 10.0
-# The band reduction behind the eigenvalues costs O(k^2 w) time, here on A's band of
-# half width w = 2, run on two mirror blocks of about k/2 points; `verify` at this size
-# takes about 0.8 s and 62 MB as a process on a 2-core machine, whatever the degree of
-# P, so grids above it are refused before anything is allocated.
+# Set when a band reduction cost O(k^2) time.  Lanczos costs O(k) per step on blocks of
+# k/2 points: `verify` at this size takes about 0.7 s and 64 MB as a process on a 2-core
+# machine, whatever the degree of P, 0.6 s and 56 MB of it the interpreter and imports.
+# Grids above it are refused before anything is allocated.
 MAX_GRID_POINTS = 6688
-# Inverse iteration: solves per eigenvector, and the seed of the start vectors,
-# fixed so that repeated runs give identical bytes.
-INVERSE_STEPS = 3
+# Lanczos: the seed of the start vectors, fixed so that repeated runs give identical
+# bytes, and the residual estimate, relative to its Ritz value on the inverse, at which
+# a Ritz pair counts as converged.
 START_SEED = 0
-# Eigenvalues closer than this times ||A||inf share a cluster, as in LAPACK's dstein;
-# inverse iteration orthogonalises a vector only against its own cluster.
-CLUSTER_GAP = 1e-3
+CONVERGED = 2.0**-40
+EPS = float(np.finfo(np.float64).eps)
+TINY = float(np.finfo(np.float64).tiny)
 
 
 def _as_real(value, name: str) -> float:
@@ -224,58 +224,6 @@ def matrix_polynomial(
     return y
 
 
-def _inverse_iteration(
-    band: npt.NDArray[np.float64], values: npt.NDArray[np.float64], norm: float
-) -> npt.NDArray[np.float64]:
-    """Unit eigenvectors of a symmetric band matrix for its ascending eigenvalues.
-
-    Called once per mirror block, with the eigenvalues that block contributes.  Each
-    vector takes INVERSE_STEPS solves with the LU of M - value I from a seeded
-    random start (Parlett, The Symmetric Eigenvalue Problem, 1980), orthogonalised
-    after every solve against the vectors found before it in its cluster: the run of
-    eigenvalues in the block whose gaps are at most CLUSTER_GAP * `norm`, as in
-    LAPACK's dstein.  That is what separates the members of an exactly degenerate
-    pair, which share one shift (a pair split across the two blocks is orthogonal by
-    parity); farther apart, inverse iteration alone leaves the vectors orthogonal,
-    and diagonalize checks that they are.  A pivot of U
-    smaller than one ulp of `norm` = ||A||inf of the whole operator is moved out to
-    that size, as LAPACK's dlagts does: it is exactly zero where M - value I is
-    singular (the zero matrix) and subnormal where the entries span the float64
-    range, and the solves would divide by it.  That perturbs the shift by at most
-    one ulp of ||A||.
-    """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
-
-    w, k = band.shape[0] - 1, band.shape[1]
-    floor = np.finfo(np.float64).eps * norm
-    # dgbtrf layout: entry (i, j) at row 2w + i - j; rows 0..w-1 take the fill-in.
-    general = np.zeros((3 * w + 1, k))
-    for d in range(w + 1):
-        general[2 * w + d, : k - d] = band[d, : k - d]
-        general[2 * w - d, d:] = band[d, : k - d]
-    rng = np.random.default_rng(START_SEED)
-    vectors = np.empty((k, len(values)))
-    start = 0  # first vector of the current cluster
-    for i, value in enumerate(values):
-        if i and value - values[i - 1] > CLUSTER_GAP * norm:
-            start = i
-        shifted = general.copy()
-        shifted[2 * w] -= value
-        # info > 0 reports an exactly zero pivot, which the floor below replaces
-        lu, pivots, _info = dgbtrf(shifted, w, w, overwrite_ab=True)
-        diagonal = lu[2 * w]
-        small = np.abs(diagonal) < floor
-        diagonal[small] = np.where(diagonal[small] < 0.0, -floor, floor)
-        x = rng.standard_normal(k)
-        found = vectors[:, start:i]
-        for _ in range(INVERSE_STEPS):
-            x, _info = dgbtrs(lu, w, w, x, pivots)
-            x -= found @ (found.T @ x)
-            x /= np.linalg.norm(x)
-        vectors[:, i] = x
-    return vectors
-
-
 def _mirror_blocks(
     band: npt.NDArray[np.float64],
 ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
@@ -310,62 +258,162 @@ def _mirror_blocks(
     return blocks[0], blocks[1]
 
 
+def _count_below(block: npt.NDArray[np.float64], tau: float) -> int:
+    """Eigenvalues below tau of the symmetric band matrix M with lower band `block`.
+
+    By Sylvester's law of inertia, the negative pivots of the unpivoted LDL^T
+    factorization of M - tau I, in Python floats; a zero pivot counts as negative.
+    """
+    w, n = block.shape[0] - 1, block.shape[1]
+    shifted = np.zeros((w + 1, n + w))  # w spare columns take the updates past the end
+    shifted[:, :n] = block
+    shifted[0] -= tau
+    columns = shifted.T.tolist()  # column j holds M[j + d, j], d = 0..w
+    updates = [(r, c, r + c) for r in range(1, w + 1) for c in range(w + 1 - r)]
+    negative = 0
+    for j, column in enumerate(columns[:n]):
+        pivot = column[0] or -TINY
+        negative += pivot < 0.0
+        for r, c, rc in updates:  # M[j + r + c, j + r] -= M[j + r, j] M[j + rc, j] / pivot
+            columns[j + r][c] -= column[r] / pivot * column[rc]
+    return negative
+
+
+def _lanczos(
+    block: npt.NDArray[np.float64], ask: int, norm: float
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
+    """Lowest `ask` eigenpairs of a symmetric band matrix M, ascending, by Lanczos.
+
+    Spectral transformation (Ericsson & Ruhe, Math. Comp. 35, 1980): Lanczos runs on
+    the inverse of M - sigma I, factored by banded Cholesky at sigma = -2^-30 `norm`,
+    just below the oscillator's positive semidefinite blocks, or where that fails at
+    -(2 `norm` + 1), below Gershgorin's bound.  The Gram-Schmidt coefficients of each
+    step against the basis, which grows with the steps, give H, the inverse projected
+    on the basis; so the run can go on from a fresh START_SEED vector, as it does where
+    the residual beta vanishes or the count below fails.  A Ritz pair (theta, s) of H
+    has converged when beta |s|, summed over the last step and the restarts, is at most
+    CONVERGED theta; this is checked from step 3 `ask`, before which the oscillator's
+    pairs never converge, after each further quarter of the steps.  The Rayleigh
+    quotients of the Ritz vectors on M are returned once M has exactly as many
+    eigenvalues below the gap under their top cluster as they have, for one Krylov
+    sequence holds one vector of a multiple eigenvalue, or once the basis spans M.
+    """
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    n, gap = block.shape[1], 16.0 * EPS * norm
+    if not ask:
+        return np.empty(0), np.empty((n, 0))
+    for shift in (-math.ldexp(norm, -30), -(2.0 * norm + 1.0)):
+        factor, info = dpbtrf(np.vstack([block[:1] - shift, block[1:]]), lower=1)
+        if not info:
+            break
+    else:
+        raise np.linalg.LinAlgError(f"banded Cholesky failed below Gershgorin's bound ({info})")
+    rng = np.random.default_rng(START_SEED)
+    basis = np.empty((min(4 * ask, n), n))  # Lanczos vectors in rows, doubled when full
+    h = np.zeros((len(basis), len(basis)))  # H's upper triangle
+    loose = []  # (step, beta) where the residual was not taken as the next vector
+
+    def fresh(j):  # a seeded unit vector orthogonal to the first j basis vectors
+        v = rng.standard_normal(n)
+        for _ in range(2 if j else 0):
+            v -= basis[:j].T @ (basis[:j] @ v)
+        return v / math.sqrt(v @ v)
+
+    basis[0], j, check, broke = fresh(0), 0, 3 * ask, True
+    while True:
+        q = basis[j]
+        x, _info = dpbtrs(factor, q, lower=1)
+        size = math.sqrt(x @ x)
+        if not broke:
+            h[j - 1, j] = b
+            x -= b * basis[j - 1]
+        h[j, j] = a = q @ x
+        x -= a * q
+        j += 1
+        for _ in range(2):  # twice where once cancels (Daniel et al., Math. Comp. 30, 1976)
+            coeffs = basis[:j] @ x
+            x -= coeffs @ basis[:j]
+            h[:j, j - 1] += coeffs
+            b = math.sqrt(x @ x)
+            if b > size / 1024:
+                break
+        broke = b <= n * EPS * size
+        if j == n or broke or j >= check:
+            theta, s = np.linalg.eigh(h[:j, :j], UPLO="U")
+            top = s[:, :-ask - 1:-1]
+            estimate = b * np.abs(top[-1]) + sum(beta * np.abs(top[i]) for i, beta in loose)
+            if j == n or j >= ask and np.all(estimate <= CONVERGED * theta[:-ask - 1:-1]):
+                vectors = basis[:j].T @ top
+                values = np.einsum("ij,ij->j", vectors, _band_matvec(block, vectors))
+                order = np.argsort(values, kind="stable")
+                values, vectors = values[order], vectors[:, order]
+                i = ask - 1  # the top cluster: steps of at most `gap` down from the top
+                while i and values[i] - values[i - 1] <= gap:
+                    i -= 1
+                tau = (values[i - 1] + values[i]) / 2 if i else values[0] - gap
+                if j == n or _count_below(block, tau) == i:
+                    return values, vectors
+                broke = True
+            check = j + max(1, j // 4)
+        if j == len(basis):
+            basis = np.concatenate([basis, np.empty((min(j, n - j), n))])
+            h, old = np.zeros((len(basis), len(basis))), h
+            h[:j, :j] = old
+        if broke:
+            loose.append((j - 1, b))
+        basis[j] = fresh(j) if broke else x / b
+
+
 def _parity_eigenpairs(
     band: npt.NDArray[np.float64], count: int, norm: float
 ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
     """Lowest `count` eigenpairs of a mirror-symmetric band, block by mirror block.
 
-    Each block first gives its min(size, ceil(count/2) + 1) lowest eigenvalues from
-    the band reduction.  A block whose last value lies strictly above the pooled
-    count-th lowest holds no more of the lowest `count`; any other is asked again for
-    min(count, size), which holds every one of them, since its own first `count` all
-    rank before the rest.  A second ask only lowers the cutoff, so one pass decides
-    both blocks, and the result is that of asking each block for `count`.
-    A stable sort of the even block's values followed by the odd block's merges them,
-    ties to the even block, and keeps the lowest `count`.  Inverse iteration then
-    runs in each block for the values it won, ascending, and the block vectors are
-    unfolded onto all k samples.
+    Each block first gives its min(size, ceil(count/2) + 1) lowest eigenpairs by
+    _lanczos.  A block whose last value lies strictly above the pooled count-th lowest
+    holds no more of the lowest `count`; any other is asked again for min(count, size),
+    which holds every one of them, since its own first `count` all rank before the
+    rest.  A second ask only lowers the cutoff, so one pass decides both blocks, and
+    the result is that of asking each block for `count`.  A stable sort of the even
+    block's values followed by the odd block's merges them, ties to the even block, and
+    keeps the lowest `count`; each block's vectors for the values it won are unfolded
+    onto all k samples.
     """
-    from scipy.linalg import eigvals_banded
-
-    def lowest(block, ask):
-        return eigvals_banded(block, lower=True, select="i", select_range=(0, ask - 1))
-
     k = band.shape[1]
     half = k // 2
     blocks = _mirror_blocks(band)
-    found = [lowest(block, min(block.shape[1], (count + 1) // 2 + 1)) for block in blocks]
-    cutoff = np.sort(np.concatenate(found))[count - 1]
+    found = [_lanczos(block, min(block.shape[1], (count + 1) // 2 + 1), norm) for block in blocks]
+    cutoff = np.sort(np.concatenate([values for values, _ in found]))[count - 1]
     for side, block in enumerate(blocks):
-        if len(found[side]) < min(count, block.shape[1]) and not cutoff < found[side][-1]:
-            found[side] = lowest(block, min(count, block.shape[1]))
-    pooled = np.concatenate(found)
+        values = found[side][0]
+        if len(values) < min(count, block.shape[1]) and not cutoff < values[-1]:
+            found[side] = _lanczos(block, min(count, block.shape[1]), norm)
+    pooled = np.concatenate([values for values, _ in found])
     order = np.argsort(pooled, kind="stable")[:count]
-    values, sides = pooled[order], np.repeat([0, 1], [len(v) for v in found])[order]
+    sides = np.repeat([0, 1], [len(values) for values, _ in found])[order]
     vectors = np.zeros((k, count))
-    for side, (sign, block) in enumerate(zip((1.0, -1.0), blocks)):
+    for side, sign in enumerate((1.0, -1.0)):
         columns = np.flatnonzero(sides == side)
-        if not columns.size:
-            continue
-        u = _inverse_iteration(block, values[columns], norm)
+        u = found[side][1][:, : columns.size]
         folded = u[:half] * math.sqrt(0.5)
         vectors[:half, columns] = folded
         vectors[k - half :, columns] = sign * folded[::-1]
-        if block.shape[1] > half:
+        if len(u) > half:
             vectors[half, columns] = u[half]
-    return values, vectors
+    return pooled[order], vectors
 
 
 def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     """Lowest `count` eigenvalues of a mirror-symmetric grid operator, with eigenvectors.
 
     The operator is solved as its two mirror-parity blocks (see _mirror_blocks),
-    each of about k/2 samples, which quarters the band reduction and halves every
-    LU.  The eigenvalues come from the band reduction without its transformation,
-    the eigenvectors from inverse iteration, both in units of the operator's largest
-    entry rounded down to a power of two: ||A||inf itself overflows for entries near
-    1e307, the squares summed inside a residual norm overflow for residuals near
-    1e155, and a factorization of tiny entries would divide by subnormal pivots.
+    each of about k/2 samples, which halves every Lanczos basis and so quarters its
+    reorthogonalisation.  Each block's eigenpairs come from _lanczos, in units of the
+    operator's largest entry rounded down to a power of two: ||A||inf itself
+    overflows for entries near 1e307, the squares summed inside a residual norm
+    overflow for residuals near 1e155, and a factorization of tiny entries would
+    divide by subnormal pivots.
     Eigenvalues come back ascending with orthonormal eigenvectors on all k samples
     in the columns, validated against the full band by max|V^T V - I| <= 1e-8 and,
     pair by pair, by the residual bound ||A v - lambda v|| <= 1e-8 max(||A||inf, 1).
@@ -373,10 +421,8 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     Raises:
         ValueError: If the operator is not mirror-symmetric, that is if
             ||A - JAJ||inf, J the reversal of the samples, exceeds that same bound.
-        EigensolverError: On LAPACK non-convergence or a failed validity check.
+        EigensolverError: On a LAPACK or Lanczos failure or a failed validity check.
     """
-    import scipy.linalg
-
     k = operator.band.shape[1]
     count = _as_index(count, "eigenpair count", 1)
     if count > k:
@@ -400,7 +446,7 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
         )
     try:
         values, vectors = _parity_eigenpairs(band, count, max(norm, 1.0))
-    except scipy.linalg.LinAlgError as err:
+    except np.linalg.LinAlgError as err:
         raise EigensolverError(
             f"eigensolver failed to converge on the {k}-point band operator: {err}"
         ) from err
@@ -550,8 +596,8 @@ def verify_dialled(
         mapped = matrix_polynomial(solution.eigenvalues, ham)
         return solution, mapped, np.argsort(mapped, kind="stable")[:count]
 
-    # LAPACK's eigenvalues differ in their last bits with the index range asked for,
-    # so the first ask stays count + 2: any other would change the printed values.
+    # The modes asked for set where each Lanczos run stops, and so the eigenvalues' last
+    # bits, so the first ask stays count + 2: any other would change the printed values.
     solution, mapped, kept = solve(min(count + 2, spec.points))
     warning = None
     if rising and len(mapped) < spec.points:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import runpy
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -283,7 +284,7 @@ def test_diagonalize_wraps_lapack_failure(monkeypatch):
     def boom(*args, **kwargs):
         raise scipy.linalg.LinAlgError("did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", boom)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", boom)
     with pytest.raises(EigensolverError, match="converge"):
         diagonalize(op, 3)
 
@@ -454,17 +455,17 @@ def test_parity_blocks_ask_again_only_when_a_block_may_hold_more(monkeypatch, co
     op = build_oscillator_grid(GridSpec(half_width=6.0, points=51))
     poly = p_of_a(op, PolynomialHamiltonian.from_dense(
         [Fraction(c) for c in coeffs]))
-    eigvals_banded = scipy.linalg.eigvals_banded
+    lanczos = gridverify._lanczos
     seen = []
 
-    def spy(block, **kwargs):
-        seen.append(kwargs["select_range"][1] + 1)
-        return eigvals_banded(block, **kwargs)
+    def spy(block, ask, norm):
+        seen.append(ask)
+        return lanczos(block, ask, norm)
 
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", spy)
+    monkeypatch.setattr(gridverify, "_lanczos", spy)
     sol = diagonalize(poly, 4)
     assert seen == asked
-    full = [eigvals_banded(block, lower=True, select="i", select_range=(0, 3))
+    full = [scipy.linalg.eigvals_banded(block, lower=True, select="i", select_range=(0, 3))
             for block in gridverify._mirror_blocks(poly.band)]
     pooled = np.concatenate(full)
     order = np.argsort(pooled, kind="stable")[:4]
@@ -483,6 +484,89 @@ def test_diagonalize_resolves_the_wall_pairs_of_minus_h():
     assert values[0] == pytest.approx(values[1], rel=1e-14, abs=0)
     assert sorted(_parities(sol.eigenvectors[:, :2])) == [-1, 1]
     assert np.max(np.abs(sol.eigenvectors.T @ sol.eigenvectors - np.eye(9))) <= 1e-8
+
+
+def _mirror_band(rng, k, kind):
+    """A random mirror-symmetric operator of half width 2 on k samples, as a dense matrix.
+
+    definite and indefinite: random band entries, the first shifted above its Gershgorin
+    bound; zero; repeated: a diagonal drawn from a few values, so that each block holds
+    some of them several times; pieces: copies of one mirror-symmetric 1 x 1, 2 x 2 or
+    3 x 3 piece along the diagonal, so that every eigenvalue repeats within each block;
+    clustered: a diagonal near three centres, spread by 1e-10 and coupled by 1e-9.
+    """
+    near = np.abs(np.subtract.outer(np.arange(k), np.arange(k))) <= 2
+
+    def mirrored(matrix):  # (M + JMJ) / 2 and (M + M^T) / 2 round the same both ways
+        matrix = (matrix + matrix[::-1, ::-1]) / 2
+        return (matrix + matrix.T) / 2
+
+    def mirrored_diagonal(values):
+        return np.concatenate([values, values[: k // 2][::-1]])
+
+    if kind == "zero":
+        return np.zeros((k, k))
+    if kind in ("definite", "indefinite"):
+        matrix = mirrored(np.where(near, rng.standard_normal((k, k)), 0.0))
+        matrix *= 10.0 ** rng.integers(-3, 4)
+        if kind == "definite":
+            matrix += (np.abs(matrix).sum(axis=1).max() + rng.random()) * np.eye(k)
+        return matrix
+    if kind == "repeated":
+        pool = rng.standard_normal(max(1, k // 6))
+        return np.diag(mirrored_diagonal(rng.choice(pool, size=k - k // 2)))
+    if kind == "pieces":
+        size = int(rng.choice([m for m in (1, 2, 3) if k % m == 0]))
+        piece = mirrored(rng.standard_normal((size, size)))
+        return np.kron(np.eye(k // size), piece)
+    centres = rng.choice(rng.standard_normal(3), size=k - k // 2)
+    spread = centres + 1e-10 * rng.standard_normal(k - k // 2)
+    return mirrored(np.diag(mirrored_diagonal(spread))
+                    + np.where(near, 1e-9 * rng.standard_normal((k, k)), 0.0))
+
+
+def test_diagonalize_agrees_with_dense_solvers_on_random_mirror_operators():
+    # 240 operators of half width 2, k from 3 to 120, each kind on 40 of them, with a
+    # random count from 1 to k.  Eigenvalues must match numpy's dense eigvalsh within
+    # 64 eps ||A||inf.  Where eigh's count-th and next eigenvalues differ by g > 0, the
+    # span of the returned vectors must match eigh's lowest count by the sin theta
+    # theorem (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970): ||sin Theta|| <= ||R||_F / g,
+    # R the residual of the returned pairs, plus the rounding of the products here.
+    rng = np.random.default_rng(26)
+    kinds = ["definite", "indefinite", "zero", "repeated", "pieces", "clustered"]
+    for trial in range(240):
+        kind, k = kinds[trial % len(kinds)], int(rng.integers(3, 121))
+        matrix = _mirror_band(rng, k, kind)
+        count = int(rng.integers(1, k + 1))
+        band = np.array([np.concatenate([np.diagonal(matrix, -d), np.zeros(d)])
+                         for d in range(3)])
+        sol = diagonalize(GridOperator(band), count)
+        norm = np.abs(matrix).sum(axis=1).max()
+        expected = np.linalg.eigvalsh(matrix)[:count]
+        assert np.max(np.abs(sol.eigenvalues - expected)) <= 64 * EPS * norm, (trial, kind, k)
+        values, vectors = np.linalg.eigh(matrix)
+        if count < k and values[count] > sol.eigenvalues[-1]:
+            residual = np.linalg.norm(matrix @ sol.eigenvectors
+                                      - sol.eigenvectors * sol.eigenvalues)
+            outside = vectors[:, count:].T @ sol.eigenvectors
+            bound = residual / (values[count] - sol.eigenvalues[-1]) + 64 * EPS * math.sqrt(k)
+            assert np.linalg.norm(outside) <= bound, (trial, kind, k)
+
+
+def test_diagonalize_memory_stays_far_below_a_square_basis():
+    # At the grid limit each mirror block has 3344 samples, where a k/2 x k/2 Lanczos
+    # basis alone would take 89 MB.  The basis grows with the steps taken, about 32 for
+    # the 7 modes each block is asked for, from 28 rows by doubling: 56 rows of 3344
+    # doubles are 1.5 MB.  With the 6688 x 11 eigenvectors and their residuals, 0.6 MB
+    # each, the traced peak reads about 4 MB.
+    op = build_oscillator_grid(GridSpec(half_width=10.0, points=6688))
+    tracemalloc.start()
+    try:
+        diagonalize(op, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("points", [400, 401])

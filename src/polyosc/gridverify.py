@@ -50,10 +50,11 @@ DEGENERACY_FACTOR = 10.0
 # Grids above it are refused before anything is allocated.
 MAX_GRID_POINTS = 6688
 # Lanczos: the seed of the start vectors, fixed so that repeated runs give identical
-# bytes, and the residual estimate, relative to its Ritz value on the inverse, at which
-# a Ritz pair counts as converged.
+# bytes, and the residual estimate, relative to the largest Ritz value of the inverse,
+# at which a Ritz pair counts as converged: 64 eps, so that eigenvalues closer than
+# that need not be told apart.
 START_SEED = 0
-CONVERGED = 2.0**-40
+CONVERGED = 2.0**-46
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
 
@@ -292,11 +293,14 @@ def _lanczos(
     on the basis; so the run can go on from a fresh START_SEED vector, as it does where
     the residual beta vanishes or the count below fails.  A Ritz pair (theta, s) of H
     has converged when beta |s|, summed over the last step and the restarts, is at most
-    CONVERGED theta; this is checked from step 3 `ask`, before which the oscillator's
-    pairs never converge, after each further quarter of the steps.  The Rayleigh
-    quotients of the Ritz vectors on M are returned once M has exactly as many
-    eigenvalues below the gap under their top cluster as they have, for one Krylov
-    sequence holds one vector of a multiple eigenvalue, or once the basis spans M.
+    CONVERGED times H's largest theta.  This is checked from step 3 `ask`, before which
+    the oscillator's pairs never converge, and then where the fall of the worst
+    estimate since the last check says it passes, a quarter more steps at most.  The
+    `ask` Ritz vectors then turn by a Rayleigh-Ritz step on M itself, which tells apart
+    eigenvalues closer than their residuals, and their Rayleigh quotients on M are
+    returned once M has exactly as many eigenvalues below the gap under their top
+    cluster as they have, for one Krylov sequence holds one vector of a multiple
+    eigenvalue; or once the basis spans M.
     """
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
@@ -320,7 +324,7 @@ def _lanczos(
             v -= basis[:j].T @ (basis[:j] @ v)
         return v / math.sqrt(v @ v)
 
-    basis[0], j, check, broke = fresh(0), 0, 3 * ask, True
+    basis[0], j, check, broke, last = fresh(0), 0, 3 * ask, True, (0, 0.0)
     while True:
         q = basis[j]
         x, _info = dpbtrs(factor, q, lower=1)
@@ -343,11 +347,11 @@ def _lanczos(
             theta, s = np.linalg.eigh(h[:j, :j], UPLO="U")
             top = s[:, :-ask - 1:-1]
             estimate = b * np.abs(top[-1]) + sum(beta * np.abs(top[i]) for i, beta in loose)
-            if j == n or j >= ask and np.all(estimate <= CONVERGED * theta[:-ask - 1:-1]):
+            worst = float(np.max(estimate)) / (CONVERGED * theta[-1])
+            if j == n or j >= ask and worst <= 1.0:
                 vectors = basis[:j].T @ top
-                values = np.einsum("ij,ij->j", vectors, _band_matvec(block, vectors))
-                order = np.argsort(values, kind="stable")
-                values, vectors = values[order], vectors[:, order]
+                values, turn = np.linalg.eigh(vectors.T @ _band_matvec(block, vectors))
+                vectors = vectors @ turn
                 i = ask - 1  # the top cluster: steps of at most `gap` down from the top
                 while i and values[i] - values[i - 1] <= gap:
                     i -= 1
@@ -355,7 +359,10 @@ def _lanczos(
                 if j == n or _count_below(block, tau) == i:
                     return values, vectors
                 broke = True
-            check = j + max(1, j // 4)
+            steps = j // 4  # or fewer, where the worst estimate's fall says it will pass
+            if last[1] > worst > 1.0:
+                steps = min(steps, math.ceil((j - last[0]) * math.log(worst, last[1] / worst)))
+            last, check = (j, worst), j + max(1, steps)
         if j == len(basis):
             basis = np.concatenate([basis, np.empty((min(j, n - j), n))])
             h, old = np.zeros((len(basis), len(basis))), h

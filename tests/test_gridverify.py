@@ -486,16 +486,17 @@ def test_diagonalize_resolves_the_wall_pairs_of_minus_h():
     assert np.max(np.abs(sol.eigenvectors.T @ sol.eigenvectors - np.eye(9))) <= 1e-8
 
 
-def _mirror_band(rng, k, kind):
-    """A random mirror-symmetric operator of half width 2 on k samples, as a dense matrix.
+def _mirror_band(rng, k, kind, w):
+    """A random mirror-symmetric operator of half width w on k samples, as a dense matrix.
 
     definite and indefinite: random band entries, the first shifted above its Gershgorin
     bound; zero; repeated: a diagonal drawn from a few values, so that each block holds
-    some of them several times; pieces: copies of one mirror-symmetric 1 x 1, 2 x 2 or
-    3 x 3 piece along the diagonal, so that every eigenvalue repeats within each block;
-    clustered: a diagonal near three centres, spread by 1e-10 and coupled by 1e-9.
+    some of them several times; pieces: copies of one mirror-symmetric piece of 1 to 3
+    samples along the diagonal, so that every eigenvalue repeats within each block;
+    clustered: a diagonal near three centres, spread and coupled by random scales from
+    1e-14 to 1e-9, so that some clusters are tighter than the solver's residuals.
     """
-    near = np.abs(np.subtract.outer(np.arange(k), np.arange(k))) <= 2
+    near = np.abs(np.subtract.outer(np.arange(k), np.arange(k))) <= w
 
     def mirrored(matrix):  # (M + JMJ) / 2 and (M + M^T) / 2 round the same both ways
         matrix = (matrix + matrix[::-1, ::-1]) / 2
@@ -520,36 +521,41 @@ def _mirror_band(rng, k, kind):
         piece = mirrored(rng.standard_normal((size, size)))
         return np.kron(np.eye(k // size), piece)
     centres = rng.choice(rng.standard_normal(3), size=k - k // 2)
-    spread = centres + 1e-10 * rng.standard_normal(k - k // 2)
-    return mirrored(np.diag(mirrored_diagonal(spread))
-                    + np.where(near, 1e-9 * rng.standard_normal((k, k)), 0.0))
+    spread = centres + 10.0 ** rng.uniform(-14, -9) * rng.standard_normal(k - k // 2)
+    return mirrored(np.diag(mirrored_diagonal(spread)) + np.where(
+        near, 10.0 ** rng.uniform(-14, -9) * rng.standard_normal((k, k)), 0.0))
 
 
 def test_diagonalize_agrees_with_dense_solvers_on_random_mirror_operators():
-    # 240 operators of half width 2, k from 3 to 120, each kind on 40 of them, with a
-    # random count from 1 to k.  Eigenvalues must match numpy's dense eigvalsh within
-    # 64 eps ||A||inf.  Where eigh's count-th and next eigenvalues differ by g > 0, the
-    # span of the returned vectors must match eigh's lowest count by the sin theta
-    # theorem (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970): ||sin Theta|| <= ||R||_F / g,
-    # R the residual of the returned pairs, plus the rounding of the products here.
+    # 240 operators of half width 2, k from 3 to 120, each kind on 40 of them, then 160
+    # clustered ones of half width 4 or 10, where tight clusters need the Rayleigh-Ritz
+    # step on M, all with a random count from 1 to k.  Eigenvalues must match numpy's dense eigvalsh
+    # within 64 eps ||A||inf.  Where the next eigenvalue of eigh lies above the returned
+    # ones by more than that tolerance, by g beyond it, the span of the returned vectors
+    # must match eigh's lowest count by the sin theta theorem (Davis & Kahan, SIAM J.
+    # Numer. Anal. 7, 1970): ||sin Theta|| <= ||R||_F / g, R the residual of the
+    # returned pairs, plus the rounding of the products here.
     rng = np.random.default_rng(26)
     kinds = ["definite", "indefinite", "zero", "repeated", "pieces", "clustered"]
-    for trial in range(240):
-        kind, k = kinds[trial % len(kinds)], int(rng.integers(3, 121))
-        matrix = _mirror_band(rng, k, kind)
+    for trial in range(400):
+        w = 2 if trial < 240 else 4 + 6 * (trial % 2)
+        kind = kinds[trial % len(kinds)] if trial < 240 else "clustered"
+        k = int(rng.integers(w + 1, 121))
+        matrix = _mirror_band(rng, k, kind, w)
         count = int(rng.integers(1, k + 1))
         band = np.array([np.concatenate([np.diagonal(matrix, -d), np.zeros(d)])
-                         for d in range(3)])
+                         for d in range(w + 1)])
         sol = diagonalize(GridOperator(band), count)
         norm = np.abs(matrix).sum(axis=1).max()
         expected = np.linalg.eigvalsh(matrix)[:count]
         assert np.max(np.abs(sol.eigenvalues - expected)) <= 64 * EPS * norm, (trial, kind, k)
         values, vectors = np.linalg.eigh(matrix)
-        if count < k and values[count] > sol.eigenvalues[-1]:
+        gap = values[min(count, k - 1)] - sol.eigenvalues[-1] - 64 * EPS * norm
+        if count < k and gap > 0:
             residual = np.linalg.norm(matrix @ sol.eigenvectors
                                       - sol.eigenvectors * sol.eigenvalues)
             outside = vectors[:, count:].T @ sol.eigenvectors
-            bound = residual / (values[count] - sol.eigenvalues[-1]) + 64 * EPS * math.sqrt(k)
+            bound = residual / gap + 64 * EPS * math.sqrt(k)
             assert np.linalg.norm(outside) <= bound, (trial, kind, k)
 
 

@@ -293,10 +293,10 @@ def _lanczos(
     on the basis; so the run can go on from a fresh START_SEED vector, as it does where
     the residual beta vanishes or the count below fails.  A Ritz pair (theta, s) of H
     has converged when beta |s|, summed over the last step and the restarts, is at most
-    CONVERGED times H's largest theta.  This is checked from step 3 `ask`, before which
-    the oscillator's pairs never converge, and then where the fall of the worst
-    estimate since the last check says it passes, a quarter more steps at most.  The
-    `ask` Ritz vectors then turn by a Rayleigh-Ritz step on M itself, which tells apart
+    CONVERGED times H's largest theta.  This is checked at step 3 `ask` (the oscillator's
+    pairs take 2.9 to 14 steps each) and then every `ask` steps, or sooner where the
+    fall of the worst estimate since the last check says it passes.  The `ask` Ritz
+    vectors then turn by a Rayleigh-Ritz step on M itself, which tells apart
     eigenvalues closer than their residuals, and their Rayleigh quotients on M are
     returned once M has exactly as many eigenvalues below the gap under their top
     cluster as they have, for one Krylov sequence holds one vector of a multiple
@@ -359,7 +359,7 @@ def _lanczos(
                 if j == n or _count_below(block, tau) == i:
                     return values, vectors
                 broke = True
-            steps = j // 4  # or fewer, where the worst estimate's fall says it will pass
+            steps = ask  # or fewer, where the worst estimate's fall says it will pass
             if last[1] > worst > 1.0:
                 steps = min(steps, math.ceil((j - last[0]) * math.log(worst, last[1] / worst)))
             last, check = (j, worst), j + max(1, steps)

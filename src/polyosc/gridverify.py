@@ -15,7 +15,11 @@ shift-invert Lanczos on one banded Cholesky factor of the block, checked complet
 a Sturm count, so nothing of size k x k is formed.  The parity is a symmetry of the
 discretisation, not of the exact answer, and because the route runs through an
 eigensolver rather than the defining linear system, agreement is evidence and not
-tautology.
+tautology.  A depends on the grid alone, never on P, so diagonalize memoises its
+validated solutions, keyed on the band's dtype, shape and bytes and on the count
+of modes: it keeps the last MEMO_ENTRIES used, none with eigenvectors above
+MEMO_BYTES, and returns their arrays read-only.  One process that verifies many P
+on one grid thus solves that grid once.
 
 The Laplacian stencil is the 5-point fourth-order one.  The classic 3-point stencil
 has eigenvalue error (dx^2/24)<p^4> per level, which the polynomial amplifies by
@@ -28,6 +32,8 @@ below the verification tolerance, for a band of half width 2 instead of 1.
 import bisect
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,6 +63,13 @@ START_SEED = 0
 CONVERGED = 2.0**-46
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
+# diagonalize's memo: the last MEMO_ENTRIES solutions used, none whose eigenvectors
+# exceed MEMO_BYTES, so that it holds at most 4 MiB of them (the eleven modes of a
+# 1001-point grid take 88 KiB).
+MEMO_ENTRIES = 4
+MEMO_BYTES = 1 << 20
+_memo: OrderedDict = OrderedDict()  # (dtype, shape, band bytes, count) -> GridEigenSolution
+_memo_lock = threading.Lock()
 
 
 def _as_real(value, name: str) -> float:
@@ -425,6 +438,16 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     in the columns, validated against the full band by max|V^T V - I| <= 1e-8 and,
     pair by pair, by the residual bound ||A v - lambda v|| <= 1e-8 max(||A||inf, 1).
 
+    Both arrays are read-only, for a validated solution is memoised: keyed on the
+    band's dtype, shape and bytes and on `count`, the last MEMO_ENTRIES solutions
+    used are kept, unless their eigenvectors exceed MEMO_BYTES, and a call that
+    matches one returns it as it is.  The solve is a function of the band's content
+    and the count alone, seeded Lanczos included, so a hit is bit for bit the solve
+    it skips.  verify_dialled maps the oscillator grid's eigenvalues through P, so
+    one process that verifies many P on one grid solves that grid once.  A solution
+    for another count is never cut down or reused: the count sets where each Lanczos
+    run stops, and so the last bits of its eigenvalues.
+
     Raises:
         ValueError: If the operator is not mirror-symmetric, that is if
             ||A - JAJ||inf, J the reversal of the samples, exceeds that same bound.
@@ -434,6 +457,12 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     count = _as_index(count, "eigenpair count", 1)
     if count > k:
         raise ValueError(f"can retain at most {k} eigenpairs, got {count}")
+    key = (operator.band.dtype.str, operator.band.shape, operator.band.tobytes(), count)
+    with _memo_lock:
+        hit = _memo.get(key)
+        if hit is not None:
+            _memo.move_to_end(key)
+            return hit
     peak = float(np.abs(operator.band).max())
     # A power of two, so that scaling adds no rounding; the entries end up below 2.
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0.0 else 1.0
@@ -477,7 +506,15 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
             f"eigenpair residual {worst * unit:.3e} exceeds {RESIDUAL_TOLERANCE:.0e} * ||A|| "
             f"for size {k}"
         )
-    return GridEigenSolution(values * unit, vectors)
+    solution = GridEigenSolution(values * unit, vectors)
+    solution.eigenvalues.flags.writeable = False
+    solution.eigenvectors.flags.writeable = False
+    if solution.eigenvectors.nbytes <= MEMO_BYTES:
+        with _memo_lock:
+            _memo[key] = solution
+            if len(_memo) > MEMO_ENTRIES:
+                _memo.popitem(last=False)
+    return solution
 
 
 def count_nodes(vector: npt.NDArray[np.float64]) -> int:

@@ -2,6 +2,8 @@ import json
 import math
 import random
 import runpy
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +30,17 @@ QUADRATIC = PolynomialHamiltonian.from_dense([Fraction(-13, 2), Fraction(1)])
 IDENTITY = PolynomialHamiltonian.from_dense([Fraction(1)])
 
 EPS = np.finfo(np.float64).eps
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Start each test with diagonalize's memo empty.
+
+    A solution memoised by an earlier test would be returned without running the
+    solver, so a test that patches _parity_eigenpairs, _lanczos, _mirror_blocks or
+    dpbtrs, or traces the solve's allocations, would see none of it.
+    """
+    gridverify._memo.clear()
 
 
 def dense(op):
@@ -98,8 +111,10 @@ def test_grid_half_width_range_messages(value, message):
 
 
 def test_grid_size_limit_is_pinned():
-    # the limit bounds band-reduction time, O(k^2 w); building the operator at the
-    # limit allocates only its three diagonals
+    # the limit stays where band reduction's O(k^2) time once set it; Lanczos, O(k)
+    # per step on each mirror block of k/2 samples, solves a grid this large in under
+    # a second, and building the operator at the limit allocates only its three
+    # diagonals
     assert gridverify.MAX_GRID_POINTS == 6688
     assert build_oscillator_grid(GridSpec(half_width=10.0, points=6688)).band.shape == (3, 6688)
     with pytest.raises(ValueError, match="exceed the grid limit of 6688"):
@@ -401,10 +416,11 @@ def test_mirror_blocks_are_the_compressions_onto_each_parity(degree, points):
     + [pytest.param(51, ["0"], id="51-zero"), pytest.param(401, ["1"], id="401-1")],
 )
 def test_diagonalize_returns_every_eigenpair(points, coeffs):
-    # count = k takes every eigenpair of both blocks; the zero polynomial makes every
-    # shift exactly singular, so each block must still give an orthonormal basis; at
-    # 401 points A's gaps exceed CLUSTER_GAP ||A|| high in its spectrum, so inverse
-    # iteration runs there without orthogonalising across them
+    # count = k takes every eigenpair of both blocks, so each block's Lanczos basis
+    # grows until it spans the block; the zero polynomial makes every shift exactly
+    # singular, so each block must still give an orthonormal basis; at 401 points the
+    # basis of each block runs to all its 201 or 200 samples, each vector orthogonalised
+    # against the whole basis
     op = build_oscillator_grid(GridSpec(half_width=2.0, points=points))
     poly = p_of_a(op, PolynomialHamiltonian.from_dense([Fraction(c) for c in coeffs]))
     sol = diagonalize(poly, points)
@@ -595,6 +611,121 @@ def test_diagonalize_refuses_an_operator_that_is_not_mirror_symmetric(relative, 
             diagonalize(skewed, 3)
     else:
         assert diagonalize(skewed, 3).eigenvalues[0] == pytest.approx(0.5, abs=1e-3)
+
+
+# ------------------------------------------------------------ diagonalize memo
+
+def _parity_calls(monkeypatch):
+    """The `count` of every _parity_eigenpairs call, that is of every solve not memoised."""
+    parity_eigenpairs = gridverify._parity_eigenpairs
+    calls = []
+
+    def spy(band, count, norm):
+        calls.append(count)
+        return parity_eigenpairs(band, count, norm)
+
+    monkeypatch.setattr(gridverify, "_parity_eigenpairs", spy)
+    return calls
+
+
+def test_diagonalize_memo_hit_equals_a_cold_solve():
+    # a hit is the stored solution, bit for bit what a cold solve returns, also for
+    # another operator object built from the same grid
+    spec = GridSpec(half_width=10.0, points=401)
+    cold = diagonalize(build_oscillator_grid(spec), 11)
+    gridverify._memo.clear()
+    stored = diagonalize(build_oscillator_grid(spec), 11)
+    hit = diagonalize(build_oscillator_grid(spec), 11)
+    assert hit is stored
+    assert np.array_equal(hit.eigenvalues, cold.eigenvalues)
+    assert np.array_equal(hit.eigenvectors, cold.eigenvectors)
+
+
+def test_diagonalize_returns_read_only_arrays():
+    op = build_oscillator_grid(GridSpec(half_width=10.0, points=51))
+    for solution in (diagonalize(op, 3), diagonalize(op, 3)):  # cold, then a hit
+        with pytest.raises(ValueError, match="read-only"):
+            solution.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            solution.eigenvectors[:, 0] *= -1.0
+
+
+def test_diagonalize_memo_misses_on_another_count_or_entry(monkeypatch):
+    # the key is the band's content, not the operator object: an entry changed in
+    # place, here the centre sample by one ulp (the band stays mirror-symmetric),
+    # is a new operator
+    calls = _parity_calls(monkeypatch)
+    op = build_oscillator_grid(GridSpec(half_width=10.0, points=401))
+    diagonalize(op, 11)
+    diagonalize(op, 11)
+    assert calls == [11]
+    diagonalize(op, 13)
+    assert calls == [11, 13]
+    op.band[0, 200] = np.nextafter(op.band[0, 200], np.inf)
+    diagonalize(op, 11)
+    assert calls == [11, 13, 11]
+
+
+def test_diagonalize_memo_keeps_the_four_last_used(monkeypatch):
+    calls = _parity_calls(monkeypatch)
+    ops = [build_oscillator_grid(GridSpec(half_width=6.0, points=51 + i)) for i in range(5)]
+    for op in ops[:4]:
+        diagonalize(op, 3)
+    diagonalize(ops[0], 3)  # a hit, which makes ops[0] the last used
+    diagonalize(ops[4], 3)  # the fifth drops the least recently used, ops[1]
+    assert len(calls) == 5 and len(gridverify._memo) == gridverify.MEMO_ENTRIES == 4
+    diagonalize(ops[0], 3)
+    assert len(calls) == 5
+    diagonalize(ops[1], 3)
+    assert len(calls) == 6 and len(gridverify._memo) == 4
+
+
+@pytest.mark.parametrize(("count", "kept"), [(256, True), (257, False)])
+def test_diagonalize_memo_keeps_no_solution_above_a_mebibyte(monkeypatch, count, kept):
+    # 512 samples x 256 modes are exactly MEMO_BYTES of eigenvectors; one mode more
+    # is returned but not kept, and solved again when asked again
+    assert gridverify.MEMO_BYTES == 512 * 256 * 8
+    calls = _parity_calls(monkeypatch)
+    op = build_oscillator_grid(GridSpec(half_width=10.0, points=512))
+    first = diagonalize(op, count)
+    assert len(gridverify._memo) == kept
+    second = diagonalize(op, count)
+    assert calls == [count] * (2 - kept)
+    assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+
+def test_diagonalize_memo_is_safe_across_threads():
+    # four threads over six operators, more than the memo keeps, with a short switch
+    # interval so that threads interleave inside diagonalize: every result must equal
+    # its cold solve and the memo must never hold more than MEMO_ENTRIES
+    ops = [build_oscillator_grid(GridSpec(half_width=6.0, points=31 + i)) for i in range(6)]
+    reference = []
+    for op in ops:
+        gridverify._memo.clear()
+        reference.append(diagonalize(op, 5).eigenvalues)
+    gridverify._memo.clear()
+    wrong, sizes = [], []
+
+    def work(shift):
+        for i in range(30):
+            j = (i + shift) % len(ops)
+            if not np.array_equal(diagonalize(ops[j], 5).eigenvalues, reference[j]):
+                wrong.append(j)
+            with gridverify._memo_lock:
+                sizes.append(len(gridverify._memo))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(sizes) == 4 * 30 and not wrong and max(sizes) <= gridverify.MEMO_ENTRIES
 
 
 # ----------------------------------------------------------------- node count
@@ -996,6 +1127,25 @@ def test_verify_keeps_the_pinned_verdicts_of_the_seed_61_stream():
         changed = [field for field in pinned if record.get(field) != pinned[field]]
         assert not changed, f"job {pinned['id']} changed {changed}: {record}"
     assert script["render"](got) == text
+
+
+def test_verify_reports_do_not_depend_on_the_memo(monkeypatch):
+    # one round of the seed-61 grid-verify stream, 28 jobs on four grids, run with
+    # the memo kept between calls and with it cleared before each: equal reports,
+    # floats included, and the warm pass solves each grid's first ask once
+    script = runpy.run_path(str(Path(__file__).parent / "grid_verdicts.py"))
+    jobs = script["jobs"].RoundSource("grid-verify", 61, "").next_round()
+    runs = [script["worker"].prepare_verify(job)[0] for job in jobs]
+
+    def cold(run):
+        gridverify._memo.clear()
+        return run()
+
+    expected = [cold(run) for run in runs]
+    gridverify._memo.clear()
+    calls = _parity_calls(monkeypatch)
+    assert [run() for run in runs] == expected
+    assert len(jobs) == 28 and calls.count(11) == len({job["points"] for job in jobs}) == 4
 
 
 def test_verify_levels_validation():

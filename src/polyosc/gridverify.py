@@ -7,13 +7,9 @@ takes A's lowest modes, maps each mu through P by one float Horner step, keeps t
 lowest mapped values, counts the nodes of their eigenvectors and compares all of it
 against the exact analytic spectrum.  Where P rises at infinity and a higher mode
 may still map lower, it solves again up to where P stays above the kept values,
-or fails as unresolved beyond the grid's reach.  The grid is uniform on [-L, L], the
-potential even and the stencil symmetric, so A commutes with the mirror x -> -x and
-its spectrum splits exactly into a block of mirror-even and one of mirror-odd
-vectors, each on about half the samples.  Each block's lowest eigenpairs come from
-shift-invert Lanczos on one banded Cholesky factor of the block, checked complete by
-a Sturm count, so nothing of size k x k is formed.  The parity is a symmetry of the
-discretisation, not of the exact answer, and because the route runs through an
+or fails as unresolved beyond the grid's reach.  A's lowest eigenpairs come from
+shift-invert Lanczos on one banded Cholesky factor of A, checked complete by a Sturm
+count, so nothing of size k x k is formed.  Because the route runs through an
 eigensolver rather than the defining linear system, agreement is evidence and not
 tautology.  A depends on the grid alone, never on P, so diagonalize memoises its
 validated solutions, keyed on the band's dtype, shape and bytes and on the count
@@ -50,9 +46,9 @@ RESIDUAL_TOLERANCE = 1e-8
 NORM_TOLERANCE = 1e-10
 ORTHOGONALITY_TOLERANCE = 1e-8
 DEGENERACY_FACTOR = 10.0
-# Set when a band reduction cost O(k^2) time.  Lanczos costs O(k) per step on blocks of
-# k/2 points: `verify` at this size takes about 0.7 s and 64 MB as a process on a 2-core
-# machine, whatever the degree of P, 0.6 s and 56 MB of it the interpreter and imports.
+# Set when a band reduction cost O(k^2) time.  Lanczos costs O(k) per step on the whole
+# band: `verify` at this size takes about 0.5 s and 66 MB as a process on a 2-core
+# machine, whatever the degree of P, 0.45 s and 56 MB of it the interpreter and imports.
 # Grids above it are refused before anything is allocated.
 MAX_GRID_POINTS = 6688
 # Lanczos: the seed of the start vectors, fixed so that repeated runs give identical
@@ -238,49 +234,15 @@ def matrix_polynomial(
     return y
 
 
-def _mirror_blocks(
-    band: npt.NDArray[np.float64],
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
-    """Lower bands of a mirror-symmetric band matrix M on its even and odd vectors.
-
-    M[i, j] = M[k-1-i, k-1-j] makes M commute with the reversal J, so in the
-    orthonormal basis (e_i + e_{k-1-i})/sqrt(2) and (e_i - e_{k-1-i})/sqrt(2),
-    i < k // 2, it is block diagonal with blocks M[i, j] + M[i, k-1-j] (even) and
-    M[i, j] - M[i, k-1-j] (odd).  For odd k the centre sample c joins the even block
-    as the unit vector e_c, which scales row and column c of the even formula by
-    1/sqrt(2); odd vectors are 0 there.  The cross term M[i, k-1-j] is nonzero only
-    where i + j >= k-1-w, in the last w rows and columns of each block, so a block
-    keeps half width <= w.  Only the left half of M is read: the symmetric part
-    (M + JMJ)/2 is what the blocks represent.
-    """
-    w, k = band.shape[0] - 1, band.shape[1]
-    half = k // 2
-    blocks = []
-    for sign, n in ((1.0, k - half), (-1.0, half)):
-        width = min(w, n - 1)
-        block = np.zeros((width + 1, n))
-        for d in range(width + 1):
-            block[d, : n - d] = band[d, : n - d]
-            # Entry (j + d, j) gains M[j + d, k-1-j], which lies t = k-1-2j-d >= 0
-            # columns right of the diagonal and is stored at band[t, j + d] for t <= w.
-            j = np.arange(max(0, (k - d - w) // 2), n - d)
-            block[d, j] += sign * band[k - 1 - 2 * j - d, j + d]
-        if n > half:  # odd k: the centre is the last even sample
-            block[np.arange(width + 1), n - 1 - np.arange(width + 1)] *= math.sqrt(0.5)
-            block[0, n - 1] *= math.sqrt(0.5)
-        blocks.append(block)
-    return blocks[0], blocks[1]
-
-
-def _count_below(block: npt.NDArray[np.float64], tau: float) -> int:
-    """Eigenvalues below tau of the symmetric band matrix M with lower band `block`.
+def _count_below(band: npt.NDArray[np.float64], tau: float) -> int:
+    """Eigenvalues below tau of the symmetric band matrix M with lower band `band`.
 
     By Sylvester's law of inertia, the negative pivots of the unpivoted LDL^T
     factorization of M - tau I, in Python floats; a zero pivot counts as negative.
     """
-    w, n = block.shape[0] - 1, block.shape[1]
+    w, n = band.shape[0] - 1, band.shape[1]
     shifted = np.zeros((w + 1, n + w))  # w spare columns take the updates past the end
-    shifted[:, :n] = block
+    shifted[:, :n] = band
     shifted[0] -= tau
     columns = shifted.T.tolist()  # column j holds M[j + d, j], d = 0..w
     updates = [(r, c, r + c) for r in range(1, w + 1) for c in range(w + 1 - r)]
@@ -294,34 +256,36 @@ def _count_below(block: npt.NDArray[np.float64], tau: float) -> int:
 
 
 def _lanczos(
-    block: npt.NDArray[np.float64], ask: int, norm: float
+    band: npt.NDArray[np.float64], ask: int, norm: float
 ) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
     """Lowest `ask` eigenpairs of a symmetric band matrix M, ascending, by Lanczos.
 
     Spectral transformation (Ericsson & Ruhe, Math. Comp. 35, 1980): Lanczos runs on
     the inverse of M - sigma I, factored by banded Cholesky at sigma = -2^-30 `norm`,
-    just below the oscillator's positive semidefinite blocks, or where that fails at
+    just below the oscillator's positive semidefinite spectrum, or where that fails at
     -(2 `norm` + 1), below Gershgorin's bound.  The Gram-Schmidt coefficients of each
     step against the basis, which grows with the steps, give H, the inverse projected
     on the basis; so the run can go on from a fresh START_SEED vector, as it does where
     the residual beta vanishes or the count below fails.  A Ritz pair (theta, s) of H
     has converged when beta |s|, summed over the last step and the restarts, is at most
     CONVERGED times H's largest theta.  This is checked at step 3 `ask` (the oscillator's
-    pairs take 2.9 to 14 steps each) and then every `ask` steps, or sooner where the
-    fall of the worst estimate since the last check says it passes.  The `ask` Ritz
-    vectors then turn by a Rayleigh-Ritz step on M itself, which tells apart
-    eigenvalues closer than their residuals, and their Rayleigh quotients on M are
-    returned once M has exactly as many eigenvalues below the gap under their top
-    cluster as they have, for one Krylov sequence holds one vector of a multiple
-    eigenvalue; or once the basis spans M.
+    pairs take 3 to 13 steps each) and then every `ask` steps, or sooner where the fall
+    of the worst estimate since the last check says it passes.  The `ask` Ritz vectors
+    then turn by a Rayleigh-Ritz step on M itself, which tells apart eigenvalues closer
+    than their residuals, and their Rayleigh quotients on M are returned once M has no
+    more eigenvalues below tau, 32 eps `norm` under the top quotient, than they have;
+    or once the basis spans M.  Each quotient bounds its eigenvalue of M from above
+    (Cauchy interlacing), so the count finds any eigenvalue left out below tau: a copy
+    of a multiple eigenvalue, for one Krylov sequence holds one vector of it, or a
+    member of a cluster tighter than the Ritz residuals.
     """
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-    n, gap = block.shape[1], 16.0 * EPS * norm
+    n, slack = band.shape[1], 32.0 * EPS * norm
     if not ask:
         return np.empty(0), np.empty((n, 0))
     for shift in (-math.ldexp(norm, -30), -(2.0 * norm + 1.0)):
-        factor, info = dpbtrf(np.vstack([block[:1] - shift, block[1:]]), lower=1)
+        factor, info = dpbtrf(np.vstack([band[:1] - shift, band[1:]]), lower=1)
         if not info:
             break
     else:
@@ -363,13 +327,10 @@ def _lanczos(
             worst = float(np.max(estimate)) / (CONVERGED * theta[-1])
             if j == n or j >= ask and worst <= 1.0:
                 vectors = basis[:j].T @ top
-                values, turn = np.linalg.eigh(vectors.T @ _band_matvec(block, vectors))
+                values, turn = np.linalg.eigh(vectors.T @ _band_matvec(band, vectors))
                 vectors = vectors @ turn
-                i = ask - 1  # the top cluster: steps of at most `gap` down from the top
-                while i and values[i] - values[i - 1] <= gap:
-                    i -= 1
-                tau = (values[i - 1] + values[i]) / 2 if i else values[0] - gap
-                if j == n or _count_below(block, tau) == i:
+                tau = values[-1] - slack
+                if j == n or _count_below(band, tau) <= np.searchsorted(values, tau):
                     return values, vectors
                 broke = True
             steps = ask  # or fewer, where the worst estimate's fall says it will pass
@@ -385,51 +346,10 @@ def _lanczos(
         basis[j] = fresh(j) if broke else x / b
 
 
-def _parity_eigenpairs(
-    band: npt.NDArray[np.float64], count: int, norm: float
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
-    """Lowest `count` eigenpairs of a mirror-symmetric band, block by mirror block.
-
-    Each block first gives its min(size, ceil(count/2) + 1) lowest eigenpairs by
-    _lanczos.  A block whose last value lies strictly above the pooled count-th lowest
-    holds no more of the lowest `count`; any other is asked again for min(count, size),
-    which holds every one of them, since its own first `count` all rank before the
-    rest.  A second ask only lowers the cutoff, so one pass decides both blocks, and
-    the result is that of asking each block for `count`.  A stable sort of the even
-    block's values followed by the odd block's merges them, ties to the even block, and
-    keeps the lowest `count`; each block's vectors for the values it won are unfolded
-    onto all k samples.
-    """
-    k = band.shape[1]
-    half = k // 2
-    blocks = _mirror_blocks(band)
-    found = [_lanczos(block, min(block.shape[1], (count + 1) // 2 + 1), norm) for block in blocks]
-    cutoff = np.sort(np.concatenate([values for values, _ in found]))[count - 1]
-    for side, block in enumerate(blocks):
-        values = found[side][0]
-        if len(values) < min(count, block.shape[1]) and not cutoff < values[-1]:
-            found[side] = _lanczos(block, min(count, block.shape[1]), norm)
-    pooled = np.concatenate([values for values, _ in found])
-    order = np.argsort(pooled, kind="stable")[:count]
-    sides = np.repeat([0, 1], [len(values) for values, _ in found])[order]
-    vectors = np.zeros((k, count))
-    for side, sign in enumerate((1.0, -1.0)):
-        columns = np.flatnonzero(sides == side)
-        u = found[side][1][:, : columns.size]
-        folded = u[:half] * math.sqrt(0.5)
-        vectors[:half, columns] = folded
-        vectors[k - half :, columns] = sign * folded[::-1]
-        if len(u) > half:
-            vectors[half, columns] = u[half]
-    return pooled[order], vectors
-
-
 def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
-    """Lowest `count` eigenvalues of a mirror-symmetric grid operator, with eigenvectors.
+    """Lowest `count` eigenvalues of a symmetric grid operator, with eigenvectors.
 
-    The operator is solved as its two mirror-parity blocks (see _mirror_blocks),
-    each of about k/2 samples, which halves every Lanczos basis and so quarters its
-    reorthogonalisation.  Each block's eigenpairs come from _lanczos, in units of the
+    The eigenpairs come from one _lanczos run on the whole band, in units of the
     operator's largest entry rounded down to a power of two: ||A||inf itself
     overflows for entries near 1e307, the squares summed inside a residual norm
     overflow for residuals near 1e155, and a factorization of tiny entries would
@@ -449,8 +369,6 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     run stops, and so the last bits of its eigenvalues.
 
     Raises:
-        ValueError: If the operator is not mirror-symmetric, that is if
-            ||A - JAJ||inf, J the reversal of the samples, exceeds that same bound.
         EigensolverError: On a LAPACK or Lanczos failure or a failed validity check.
     """
     k = operator.band.shape[1]
@@ -469,19 +387,8 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     band = operator.band / unit
     norm = float(_band_matvec(np.abs(band), np.ones((k, 1))).max())
     bound = RESIDUAL_TOLERANCE * max(norm, 1.0 / unit)
-    # The blocks represent (A + JAJ)/2, whose eigenpairs leave residuals of at most
-    # ||A - JAJ||/2 against A: refuse an operator whose skew part would show there.
-    skew = band.copy()
-    for d, row in enumerate(skew):
-        row[: k - d] -= band[d, k - d - 1 :: -1]
-    asymmetry = float(_band_matvec(np.abs(skew), np.ones((k, 1))).max())
-    if not asymmetry <= bound:
-        raise ValueError(
-            f"grid operator is not mirror-symmetric: ||A - JAJ||inf {asymmetry * unit:.3e} "
-            f"exceeds {RESIDUAL_TOLERANCE:.0e} * ||A||"
-        )
     try:
-        values, vectors = _parity_eigenpairs(band, count, max(norm, 1.0))
+        values, vectors = _lanczos(band, count, max(norm, 1.0))
     except np.linalg.LinAlgError as err:
         raise EigensolverError(
             f"eigensolver failed to converge on the {k}-point band operator: {err}"

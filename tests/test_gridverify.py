@@ -37,8 +37,8 @@ def cold_memo():
     """Start each test with diagonalize's memo empty.
 
     A solution memoised by an earlier test would be returned without running the
-    solver, so a test that patches _parity_eigenpairs, _lanczos, _mirror_blocks or
-    dpbtrs, or traces the solve's allocations, would see none of it.
+    solver, so a test that patches _lanczos or dpbtrs, or traces the solve's
+    allocations, would see none of it.
     """
     gridverify._memo.clear()
 
@@ -112,8 +112,8 @@ def test_grid_half_width_range_messages(value, message):
 
 def test_grid_size_limit_is_pinned():
     # the limit stays where band reduction's O(k^2) time once set it; Lanczos, O(k)
-    # per step on each mirror block of k/2 samples, solves a grid this large in under
-    # a second, and building the operator at the limit allocates only its three
+    # per step on the whole band of k samples, solves a grid this large in under a
+    # second, and building the operator at the limit allocates only its three
     # diagonals
     assert gridverify.MAX_GRID_POINTS == 6688
     assert build_oscillator_grid(GridSpec(half_width=10.0, points=6688)).band.shape == (3, 6688)
@@ -311,33 +311,33 @@ def test_diagonalize_rejects_a_perturbed_eigenvector(monkeypatch, half_width):
     # also where ||A|| is ~2e303 and its square overflows, and where ||A||inf itself
     # overflows while every entry is finite.
     op = build_oscillator_grid(GridSpec(half_width=half_width, points=51))
-    parity_eigenpairs = gridverify._parity_eigenpairs
+    lanczos = gridverify._lanczos
 
     def rotated(*args, **kwargs):
-        values, vectors = parity_eigenpairs(*args, **kwargs)
+        values, vectors = lanczos(*args, **kwargs)
         c, s = math.cos(1e-3), math.sin(1e-3)
         v0, v1 = vectors[:, 0].copy(), vectors[:, 1].copy()
         vectors[:, 0], vectors[:, 1] = c * v0 + s * v1, c * v1 - s * v0
         return values, vectors
 
-    monkeypatch.setattr(gridverify, "_parity_eigenpairs", rotated)
+    monkeypatch.setattr(gridverify, "_lanczos", rotated)
     with pytest.raises(EigensolverError, match="eigenpair residual"):
         diagonalize(op, 3)
 
 
 def test_diagonalize_scales_without_rounding(monkeypatch):
-    # the band folded into the mirror blocks is P(A) divided by a power of two,
-    # exactly: scaling by the largest entry itself would add a rounding to every entry
+    # the band that Lanczos runs on is P(A) divided by a power of two, exactly:
+    # scaling by the largest entry itself would add a rounding to every entry
     op = build_oscillator_grid(GridSpec(half_width=6.0, points=51))
     poly = p_of_a(op, PolynomialHamiltonian.from_dense([Fraction(1, 3)] * 3))
-    mirror_blocks = gridverify._mirror_blocks
+    lanczos = gridverify._lanczos
     seen = []
 
     def spy(band, *args, **kwargs):
         seen.append(band.copy())
-        return mirror_blocks(band, *args, **kwargs)
+        return lanczos(band, *args, **kwargs)
 
-    monkeypatch.setattr(gridverify, "_mirror_blocks", spy)
+    monkeypatch.setattr(gridverify, "_lanczos", spy)
     diagonalize(poly, 3)
     (scaled,) = seen
     ratio = np.abs(poly.band).max() / np.abs(scaled).max()
@@ -348,14 +348,14 @@ def test_diagonalize_scales_without_rounding(monkeypatch):
 def test_diagonalize_rejects_a_repeated_eigenvector(monkeypatch):
     # unit norms and small residuals, but not an orthonormal set
     op = build_oscillator_grid(GridSpec(half_width=4.0, points=51))
-    parity_eigenpairs = gridverify._parity_eigenpairs
+    lanczos = gridverify._lanczos
 
     def repeated(*args, **kwargs):
-        values, vectors = parity_eigenpairs(*args, **kwargs)
+        values, vectors = lanczos(*args, **kwargs)
         vectors[:, 1] = vectors[:, 0]
         return values, vectors
 
-    monkeypatch.setattr(gridverify, "_parity_eigenpairs", repeated)
+    monkeypatch.setattr(gridverify, "_lanczos", repeated)
     with pytest.raises(EigensolverError, match="orthonormal"):
         diagonalize(op, 3)
 
@@ -364,9 +364,8 @@ def test_diagonalize_rejects_a_repeated_eigenvector(monkeypatch):
 @pytest.mark.parametrize("degree", range(6))
 def test_diagonalize_agrees_with_dense_eigh(degree, points):
     # control: the dense symmetric eigensolver on the rebuilt matrix; degrees 1 and 2
-    # have a negative leading coefficient, so their lowest modes are the exactly
-    # degenerate wall pairs, one mirror-even and one mirror-odd; even point counts
-    # have no centre sample
+    # have a negative leading coefficient, so their lowest modes are the wall pairs,
+    # one mode at each wall, whose eigenvalues agree to the last bits
     op = build_oscillator_grid(GridSpec(half_width=6.0, points=points))
     coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
     poly = p_of_a(op, PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)]))
@@ -377,38 +376,6 @@ def test_diagonalize_agrees_with_dense_eigh(degree, points):
     assert np.max(np.abs(got - expected)) <= 1e-12 * norm
 
 
-def _mirror_basis(points):
-    """Columns (e_i +- e_{k-1-i})/sqrt(2), i < k // 2, and e_c for odd k: even, odd."""
-    half = points // 2
-    even, odd = np.zeros((points, points - half)), np.zeros((points, half))
-    for i in range(half):
-        even[i, i] = even[points - 1 - i, i] = odd[i, i] = math.sqrt(0.5)
-        odd[points - 1 - i, i] = -math.sqrt(0.5)
-    if points % 2:
-        even[half, half] = 1.0
-    return even, odd
-
-
-def _parities(vectors):
-    """Per column: 1 if mirror-even, -1 if mirror-odd, bit for bit, else 0."""
-    return [1 if np.array_equal(v[::-1], v) else -1 if np.array_equal(v[::-1], -v) else 0
-            for v in vectors.T]
-
-
-@pytest.mark.parametrize("points", [3, 4, 5, 6, 11, 12, 52, 53])
-@pytest.mark.parametrize("degree", range(6))
-def test_mirror_blocks_are_the_compressions_onto_each_parity(degree, points):
-    # reference: Q^T M Q on the dense matrix for the orthonormal even and odd bases;
-    # the folded band rounds once per cross term and once per sqrt(1/2) scaling
-    op = build_oscillator_grid(GridSpec(half_width=6.0, points=points))
-    coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
-    poly = p_of_a(op, PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)]))
-    matrix = dense(poly)
-    for basis, block in zip(_mirror_basis(points), gridverify._mirror_blocks(poly.band)):
-        expected = basis.T @ matrix @ basis
-        assert np.max(np.abs(dense(block) - expected)) <= 4 * EPS * np.abs(matrix).max()
-
-
 @pytest.mark.parametrize(
     ("points", "coeffs"),
     [pytest.param(points, coeffs, id=f"{points}-{'/'.join(coeffs)}")
@@ -416,11 +383,10 @@ def test_mirror_blocks_are_the_compressions_onto_each_parity(degree, points):
     + [pytest.param(51, ["0"], id="51-zero"), pytest.param(401, ["1"], id="401-1")],
 )
 def test_diagonalize_returns_every_eigenpair(points, coeffs):
-    # count = k takes every eigenpair of both blocks, so each block's Lanczos basis
-    # grows until it spans the block; the zero polynomial makes every shift exactly
-    # singular, so each block must still give an orthonormal basis; at 401 points the
-    # basis of each block runs to all its 201 or 200 samples, each vector orthogonalised
-    # against the whole basis
+    # count = k takes every eigenpair, so the Lanczos basis grows until it spans the
+    # band; the zero polynomial makes every shift exactly singular, so the run must
+    # still give an orthonormal basis; at 401 points the basis runs to all 401
+    # samples, each vector orthogonalised against the whole basis
     op = build_oscillator_grid(GridSpec(half_width=2.0, points=points))
     poly = p_of_a(op, PolynomialHamiltonian.from_dense([Fraction(c) for c in coeffs]))
     sol = diagonalize(poly, points)
@@ -428,136 +394,72 @@ def test_diagonalize_returns_every_eigenpair(points, coeffs):
     assert np.max(np.abs(sol.eigenvalues - expected)) <= 1e-13 * max(np.abs(expected).max(), 1)
     vectors = sol.eigenvectors
     assert np.max(np.abs(vectors.T @ vectors - np.eye(points))) <= 1e-12
-    parities = _parities(vectors)
-    assert parities.count(1) == points - points // 2 and parities.count(-1) == points // 2
-
-
-@pytest.mark.parametrize("points", [4, 5, 51])
-def test_diagonalize_breaks_ties_to_the_even_block(points):
-    # the zero band: every eigenvalue of both blocks is 0, and the even block's
-    # eigenvectors come first, in both the full set and a lowest few
-    op = build_oscillator_grid(GridSpec(half_width=2.0, points=points))
-    zero = p_of_a(op, PolynomialHamiltonian.from_dense([Fraction(0)]))
-    even = points - points // 2
-    for count in (points, even - 1):
-        sol = diagonalize(zero, count)
-        assert np.array_equal(sol.eigenvalues, np.zeros(count))
-        assert _parities(sol.eigenvectors) == [1] * min(count, even) + [-1] * (count - even)
-
-
-def _with_roots(roots):
-    """Dense coefficients, from power 1, of h * prod (h - r) over the roots."""
-    poly = [Fraction(0), Fraction(1)]
-    for r in roots:
-        poly = [a - r * b for a, b in zip([Fraction(0), *poly], [*poly, Fraction(0)])]
-    return poly[1:]
-
-
-# h (h - h_0)^2 (h - h_2)^2 (h - h_4)^2: its lowest three levels are all mirror-even
-EVEN_ZEROS = _with_roots([Fraction(1, 2), Fraction(5, 2), Fraction(9, 2)] * 2)
-
-
-@pytest.mark.parametrize(
-    ("coeffs", "asked"),
-    [(["1"], [3, 3]), (["-1"], [3, 3]), (["0"], [3, 3, 4, 4]), (EVEN_ZEROS, [3, 3, 4])],
-    ids=["h", "minus-h", "zero", "even-zeros"],
-)
-def test_parity_blocks_ask_again_only_when_a_block_may_hold_more(monkeypatch, coeffs, asked):
-    # each block is first asked for ceil(4/2) + 1 = 3 values; a block whose third
-    # value is not strictly above the pooled fourth lowest is asked again for 4.  The
-    # zero band ties everywhere, and EVEN_ZEROS puts levels 0, 2, 4 and then level 1
-    # lowest, three of the four in the even block.  Reference: each block asked for 4
-    # values, pooled by a stable sort, even block first, as before the asks shrank.
-    op = build_oscillator_grid(GridSpec(half_width=6.0, points=51))
-    poly = p_of_a(op, PolynomialHamiltonian.from_dense(
-        [Fraction(c) for c in coeffs]))
-    lanczos = gridverify._lanczos
-    seen = []
-
-    def spy(block, ask, norm):
-        seen.append(ask)
-        return lanczos(block, ask, norm)
-
-    monkeypatch.setattr(gridverify, "_lanczos", spy)
-    sol = diagonalize(poly, 4)
-    assert seen == asked
-    full = [scipy.linalg.eigvals_banded(block, lower=True, select="i", select_range=(0, 3))
-            for block in gridverify._mirror_blocks(poly.band)]
-    pooled = np.concatenate(full)
-    order = np.argsort(pooled, kind="stable")[:4]
-    norm = np.linalg.norm(dense(poly), np.inf)
-    assert np.max(np.abs(sol.eigenvalues - pooled[order])) <= 1e-13 * norm
-    assert _parities(sol.eigenvectors) == [1 if i < 4 else -1 for i in order]
 
 
 def test_diagonalize_resolves_the_wall_pairs_of_minus_h():
     # P = -h: the lowest modes of P(A) are wall modes in left/right pairs whose
-    # eigenvalues coincide, one mirror-even and one mirror-odd; the second of each
-    # pair must come out orthogonal to the first, or diagonalize would raise
+    # eigenvalues coincide to the last bits; the second of each pair must come out
+    # orthogonal to the first, or diagonalize would raise
     op = build_oscillator_grid(GridSpec(half_width=10.0, points=401))
     sol = diagonalize(p_of_a(op, PolynomialHamiltonian.from_dense([-1])), 9)
     values = sol.eigenvalues
     assert values[0] == pytest.approx(values[1], rel=1e-14, abs=0)
-    assert sorted(_parities(sol.eigenvectors[:, :2])) == [-1, 1]
     assert np.max(np.abs(sol.eigenvectors.T @ sol.eigenvectors - np.eye(9))) <= 1e-8
 
 
-def _mirror_band(rng, k, kind, w):
-    """A random mirror-symmetric operator of half width w on k samples, as a dense matrix.
+def _symmetric_band(rng, k, kind, w):
+    """A random symmetric operator of half width w on k samples, as a dense matrix.
 
     definite and indefinite: random band entries, the first shifted above its Gershgorin
-    bound; zero; repeated: a diagonal drawn from a few values, so that each block holds
-    some of them several times; pieces: copies of one mirror-symmetric piece of 1 to 3
-    samples along the diagonal, so that every eigenvalue repeats within each block;
-    clustered: a diagonal near three centres, spread and coupled by random scales from
-    1e-14 to 1e-9, so that some clusters are tighter than the solver's residuals.
+    bound; zero; repeated: a diagonal drawn from a few values, so that each is held
+    several times; pieces: copies of one symmetric piece of 1 to 3 samples along the
+    diagonal, so that every eigenvalue repeats; clustered: a diagonal near three
+    centres, spread and coupled by random scales from 1e-14 to 1e-9, so that some
+    clusters are tighter than the solver's residuals.
     """
     near = np.abs(np.subtract.outer(np.arange(k), np.arange(k))) <= w
 
-    def mirrored(matrix):  # (M + JMJ) / 2 and (M + M^T) / 2 round the same both ways
-        matrix = (matrix + matrix[::-1, ::-1]) / 2
+    def symmetric(matrix):
         return (matrix + matrix.T) / 2
-
-    def mirrored_diagonal(values):
-        return np.concatenate([values, values[: k // 2][::-1]])
 
     if kind == "zero":
         return np.zeros((k, k))
     if kind in ("definite", "indefinite"):
-        matrix = mirrored(np.where(near, rng.standard_normal((k, k)), 0.0))
+        matrix = symmetric(np.where(near, rng.standard_normal((k, k)), 0.0))
         matrix *= 10.0 ** rng.integers(-3, 4)
         if kind == "definite":
             matrix += (np.abs(matrix).sum(axis=1).max() + rng.random()) * np.eye(k)
         return matrix
     if kind == "repeated":
         pool = rng.standard_normal(max(1, k // 6))
-        return np.diag(mirrored_diagonal(rng.choice(pool, size=k - k // 2)))
+        return np.diag(rng.choice(pool, size=k))
     if kind == "pieces":
         size = int(rng.choice([m for m in (1, 2, 3) if k % m == 0]))
-        piece = mirrored(rng.standard_normal((size, size)))
+        piece = symmetric(rng.standard_normal((size, size)))
         return np.kron(np.eye(k // size), piece)
-    centres = rng.choice(rng.standard_normal(3), size=k - k // 2)
-    spread = centres + 10.0 ** rng.uniform(-14, -9) * rng.standard_normal(k - k // 2)
-    return mirrored(np.diag(mirrored_diagonal(spread)) + np.where(
+    centres = rng.choice(rng.standard_normal(3), size=k)
+    spread = centres + 10.0 ** rng.uniform(-14, -9) * rng.standard_normal(k)
+    return symmetric(np.diag(spread) + np.where(
         near, 10.0 ** rng.uniform(-14, -9) * rng.standard_normal((k, k)), 0.0))
 
 
-def test_diagonalize_agrees_with_dense_solvers_on_random_mirror_operators():
+def test_diagonalize_agrees_with_dense_solvers_on_random_symmetric_bands():
     # 240 operators of half width 2, k from 3 to 120, each kind on 40 of them, then 160
     # clustered ones of half width 4 or 10, where tight clusters need the Rayleigh-Ritz
-    # step on M, all with a random count from 1 to k.  Eigenvalues must match numpy's dense eigvalsh
-    # within 64 eps ||A||inf.  Where the next eigenvalue of eigh lies above the returned
-    # ones by more than that tolerance, by g beyond it, the span of the returned vectors
-    # must match eigh's lowest count by the sin theta theorem (Davis & Kahan, SIAM J.
-    # Numer. Anal. 7, 1970): ||sin Theta|| <= ||R||_F / g, R the residual of the
-    # returned pairs, plus the rounding of the products here.
+    # step on M, all with a random count from 1 to k; none is built mirror-symmetric.
+    # Eigenvalues must match numpy's dense eigvalsh within 64 eps ||A||inf.  Where the
+    # next eigenvalue of eigh lies above the returned ones by more than that tolerance,
+    # by g beyond it, the span of the returned vectors must match eigh's lowest count
+    # by the sin theta theorem (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970):
+    # ||sin Theta|| <= ||R||_F / g, R the residual of the returned pairs, plus the
+    # rounding of the products here.
     rng = np.random.default_rng(26)
     kinds = ["definite", "indefinite", "zero", "repeated", "pieces", "clustered"]
     for trial in range(400):
         w = 2 if trial < 240 else 4 + 6 * (trial % 2)
         kind = kinds[trial % len(kinds)] if trial < 240 else "clustered"
         k = int(rng.integers(w + 1, 121))
-        matrix = _mirror_band(rng, k, kind, w)
+        matrix = _symmetric_band(rng, k, kind, w)
         count = int(rng.integers(1, k + 1))
         band = np.array([np.concatenate([np.diagonal(matrix, -d), np.zeros(d)])
                          for d in range(w + 1)])
@@ -576,11 +478,10 @@ def test_diagonalize_agrees_with_dense_solvers_on_random_mirror_operators():
 
 
 def test_diagonalize_memory_stays_far_below_a_square_basis():
-    # At the grid limit each mirror block has 3344 samples, where a k/2 x k/2 Lanczos
-    # basis alone would take 89 MB.  The basis grows with the steps taken, about 32 for
-    # the 7 modes each block is asked for, from 28 rows by doubling: 56 rows of 3344
-    # doubles are 1.5 MB.  With the 6688 x 11 eigenvectors and their residuals, 0.6 MB
-    # each, the traced peak reads about 4 MB.
+    # At the grid limit a k x k Lanczos basis alone would take 358 MB.  The basis grows
+    # with the steps taken, 44 for the 11 modes asked, from 4 * 11 = 44 rows by
+    # doubling: 44 rows of 6688 doubles are 2.4 MB.  With the 6688 x 11 eigenvectors
+    # and their residuals, 0.6 MB each, the traced peak reads about 4.8 MB.
     op = build_oscillator_grid(GridSpec(half_width=10.0, points=6688))
     tracemalloc.start()
     try:
@@ -598,33 +499,35 @@ def test_oscillator_node_counts_at_odd_and_even_grids(points):
     assert report.passed
 
 
-@pytest.mark.parametrize(("relative", "refused"), [(1e-10, False), (1e-6, True)])
-def test_diagonalize_refuses_an_operator_that_is_not_mirror_symmetric(relative, refused):
-    # one end-diagonal entry moved: the mirror blocks would answer for the symmetric
-    # part only, so a skew part beyond the residual bound is refused, not answered
-    op = build_oscillator_grid(GridSpec(half_width=10.0, points=101))
-    band = op.band.copy()
+@pytest.mark.parametrize("relative", [1e-10, 1e-6, 1.0])
+def test_diagonalize_solves_an_operator_that_is_not_mirror_symmetric(relative):
+    # one end-diagonal entry moved by `relative` and the potential tilted by
+    # relative * x, to (x + relative)^2 / 2 - relative^2 / 2: any symmetric band is
+    # answered, and its lowest eigenvalues are eigvalsh's and the tilted ladder's
+    spec = GridSpec(half_width=10.0, points=101)
+    band = build_oscillator_grid(spec).band.copy()
     band[0, 0] *= 1.0 + relative
+    band[0] += relative * spec.positions()
     skewed = GridOperator(band)
-    if refused:
-        with pytest.raises(ValueError, match="grid operator is not mirror-symmetric"):
-            diagonalize(skewed, 3)
-    else:
-        assert diagonalize(skewed, 3).eigenvalues[0] == pytest.approx(0.5, abs=1e-3)
+    values = diagonalize(skewed, 3).eigenvalues
+    matrix = dense(skewed)
+    expected = scipy.linalg.eigvalsh(matrix, subset_by_index=[0, 2])
+    assert np.max(np.abs(values - expected)) <= 64 * EPS * np.abs(matrix).sum(axis=1).max()
+    assert values == pytest.approx(np.arange(3) + 0.5 - relative**2 / 2, rel=0, abs=1e-3)
 
 
 # ------------------------------------------------------------ diagonalize memo
 
-def _parity_calls(monkeypatch):
-    """The `count` of every _parity_eigenpairs call, that is of every solve not memoised."""
-    parity_eigenpairs = gridverify._parity_eigenpairs
+def _solve_calls(monkeypatch):
+    """The `ask` of every _lanczos call, that is the count of every solve not memoised."""
+    lanczos = gridverify._lanczos
     calls = []
 
-    def spy(band, count, norm):
-        calls.append(count)
-        return parity_eigenpairs(band, count, norm)
+    def spy(band, ask, norm):
+        calls.append(ask)
+        return lanczos(band, ask, norm)
 
-    monkeypatch.setattr(gridverify, "_parity_eigenpairs", spy)
+    monkeypatch.setattr(gridverify, "_lanczos", spy)
     return calls
 
 
@@ -652,9 +555,8 @@ def test_diagonalize_returns_read_only_arrays():
 
 def test_diagonalize_memo_misses_on_another_count_or_entry(monkeypatch):
     # the key is the band's content, not the operator object: an entry changed in
-    # place, here the centre sample by one ulp (the band stays mirror-symmetric),
-    # is a new operator
-    calls = _parity_calls(monkeypatch)
+    # place, here the centre sample by one ulp, is a new operator
+    calls = _solve_calls(monkeypatch)
     op = build_oscillator_grid(GridSpec(half_width=10.0, points=401))
     diagonalize(op, 11)
     diagonalize(op, 11)
@@ -667,7 +569,7 @@ def test_diagonalize_memo_misses_on_another_count_or_entry(monkeypatch):
 
 
 def test_diagonalize_memo_keeps_the_four_last_used(monkeypatch):
-    calls = _parity_calls(monkeypatch)
+    calls = _solve_calls(monkeypatch)
     ops = [build_oscillator_grid(GridSpec(half_width=6.0, points=51 + i)) for i in range(5)]
     for op in ops[:4]:
         diagonalize(op, 3)
@@ -685,7 +587,7 @@ def test_diagonalize_memo_keeps_no_solution_above_a_mebibyte(monkeypatch, count,
     # 512 samples x 256 modes are exactly MEMO_BYTES of eigenvectors; one mode more
     # is returned but not kept, and solved again when asked again
     assert gridverify.MEMO_BYTES == 512 * 256 * 8
-    calls = _parity_calls(monkeypatch)
+    calls = _solve_calls(monkeypatch)
     op = build_oscillator_grid(GridSpec(half_width=10.0, points=512))
     first = diagonalize(op, count)
     assert len(gridverify._memo) == kept
@@ -926,9 +828,9 @@ def test_verify_keeps_the_lowest_of_p_over_the_whole_grid_spectrum(
     monkeypatch, ham, counts, points
 ):
     # Reference: every eigenvalue of A from one eigvals_banded call on the full band,
-    # no mirror split, mapped through P by float Horner.  The verifier must keep the
-    # nine lowest, as values and as modes, whose node count is their index.  P with a
-    # leading coefficient <= 0 has no lowest; the verifier maps A's first 11 modes.
+    # mapped through P by float Horner.  The verifier must keep the nine lowest, as
+    # values and as modes, whose node count is their index.  P with a leading
+    # coefficient <= 0 has no lowest; the verifier maps A's first 11 modes.
     # `counts` are the diagonalize calls, at most two.
     spec = GridSpec(half_width=10.0, points=points)
     mu = scipy.linalg.eigvals_banded(build_oscillator_grid(spec).band, lower=True)
@@ -1143,7 +1045,7 @@ def test_verify_reports_do_not_depend_on_the_memo(monkeypatch):
 
     expected = [cold(run) for run in runs]
     gridverify._memo.clear()
-    calls = _parity_calls(monkeypatch)
+    calls = _solve_calls(monkeypatch)
     assert [run() for run in runs] == expected
     assert len(jobs) == 28 and calls.count(11) == len({job["points"] for job in jobs}) == 4
 

@@ -376,6 +376,49 @@ def test_diagonalize_agrees_with_dense_eigh(degree, points):
     assert np.max(np.abs(got - expected)) <= 1e-12 * norm
 
 
+def _mirror_basis(points):
+    """Columns (e_i +- e_{k-1-i})/sqrt(2), i < k // 2, and e_c for odd k: even, odd."""
+    half = points // 2
+    even, odd = np.zeros((points, points - half)), np.zeros((points, half))
+    for i in range(half):
+        even[i, i] = even[points - 1 - i, i] = odd[i, i] = math.sqrt(0.5)
+        odd[points - 1 - i, i] = -math.sqrt(0.5)
+    if points % 2:
+        even[half, half] = 1.0
+    return even, odd
+
+
+@pytest.mark.parametrize("points", [3, 4, 5, 6, 11, 12, 52, 53])
+@pytest.mark.parametrize("degree", range(6))
+def test_mirror_blocks_are_the_compressions_onto_each_parity(degree, points):
+    # P(A) commutes with the mirror J, so its spectrum is the union of those of the
+    # mirror blocks Q^T M Q, for the orthonormal even and odd bases Q, formed densely
+    # here; the one-band solve must return that union within 64 eps ||M||inf.  Each
+    # returned vector v whose value lies apart from the rest of the spectrum by g must
+    # lie in one parity within (||Mv - value v|| + 64 eps ||M||inf) / g, by the sin
+    # theta bound for one vector with the rounding of Mv here, plus that of the parity
+    # parts: the node counts of the paper's check rely on it.
+    # The zero polynomial and the wall pairs of degrees 1 and 2 leave values that
+    # coincide across the parities, where any mix of the two is an eigenvector.
+    op = build_oscillator_grid(GridSpec(half_width=6.0, points=points))
+    coeffs = [Fraction(3 * j - 7, j + 1) for j in range(1, degree + 1)]
+    poly = p_of_a(op, PolynomialHamiltonian.from_dense(coeffs or [Fraction(0)]))
+    matrix = dense(poly)
+    norm = np.abs(matrix).sum(axis=1).max()
+    blocks = [np.linalg.eigvalsh(basis.T @ matrix @ basis) for basis in _mirror_basis(points)]
+    sol = diagonalize(poly, points)
+    assert np.max(np.abs(sol.eigenvalues - np.sort(np.concatenate(blocks)))) <= 64 * EPS * norm
+    spectrum = np.linalg.eigvalsh(matrix)
+    for value, v in zip(sol.eigenvalues, sol.eigenvectors.T):
+        rest = np.delete(spectrum, np.argmin(np.abs(spectrum - value)))
+        gap = np.min(np.abs(rest - value), initial=np.inf)
+        if gap > 1e-8 * norm:
+            residual = np.linalg.norm(matrix @ v - value * v)
+            off = min(np.linalg.norm(v - v[::-1]), np.linalg.norm(v + v[::-1])) / 2
+            bound = (residual + 64 * EPS * norm) / gap + 64 * EPS * math.sqrt(points)
+            assert off <= bound, (value, gap)
+
+
 @pytest.mark.parametrize(
     ("points", "coeffs"),
     [pytest.param(points, coeffs, id=f"{points}-{'/'.join(coeffs)}")
@@ -407,7 +450,7 @@ def test_diagonalize_resolves_the_wall_pairs_of_minus_h():
     assert np.max(np.abs(sol.eigenvectors.T @ sol.eigenvectors - np.eye(9))) <= 1e-8
 
 
-def _symmetric_band(rng, k, kind, w):
+def _random_band(rng, k, kind, w, mirror):
     """A random symmetric operator of half width w on k samples, as a dense matrix.
 
     definite and indefinite: random band entries, the first shifted above its Gershgorin
@@ -415,12 +458,21 @@ def _symmetric_band(rng, k, kind, w):
     several times; pieces: copies of one symmetric piece of 1 to 3 samples along the
     diagonal, so that every eigenvalue repeats; clustered: a diagonal near three
     centres, spread and coupled by random scales from 1e-14 to 1e-9, so that some
-    clusters are tighter than the solver's residuals.
+    clusters are tighter than the solver's residuals.  With `mirror` the operator
+    also commutes with the mirror J, as the oscillator's P(A) does: it is averaged
+    with JMJ and its diagonals are drawn on one half and reflected, so that values
+    repeat across the two parities as well.
     """
     near = np.abs(np.subtract.outer(np.arange(k), np.arange(k))) <= w
+    drawn = k - k // 2 if mirror else k
 
-    def symmetric(matrix):
+    def symmetric(matrix):  # (M + JMJ) / 2 and (M + M^T) / 2 round the same both ways
+        if mirror:
+            matrix = (matrix + matrix[::-1, ::-1]) / 2
         return (matrix + matrix.T) / 2
+
+    def diagonal(values):
+        return np.diag(np.concatenate([values, values[: k // 2][::-1]]) if mirror else values)
 
     if kind == "zero":
         return np.zeros((k, k))
@@ -432,34 +484,36 @@ def _symmetric_band(rng, k, kind, w):
         return matrix
     if kind == "repeated":
         pool = rng.standard_normal(max(1, k // 6))
-        return np.diag(rng.choice(pool, size=k))
+        return diagonal(rng.choice(pool, size=drawn))
     if kind == "pieces":
         size = int(rng.choice([m for m in (1, 2, 3) if k % m == 0]))
         piece = symmetric(rng.standard_normal((size, size)))
         return np.kron(np.eye(k // size), piece)
-    centres = rng.choice(rng.standard_normal(3), size=k)
-    spread = centres + 10.0 ** rng.uniform(-14, -9) * rng.standard_normal(k)
-    return symmetric(np.diag(spread) + np.where(
+    centres = rng.choice(rng.standard_normal(3), size=drawn)
+    spread = centres + 10.0 ** rng.uniform(-14, -9) * rng.standard_normal(drawn)
+    return symmetric(diagonal(spread) + np.where(
         near, 10.0 ** rng.uniform(-14, -9) * rng.standard_normal((k, k)), 0.0))
 
 
-def test_diagonalize_agrees_with_dense_solvers_on_random_symmetric_bands():
-    # 240 operators of half width 2, k from 3 to 120, each kind on 40 of them, then 160
-    # clustered ones of half width 4 or 10, where tight clusters need the Rayleigh-Ritz
-    # step on M, all with a random count from 1 to k; none is built mirror-symmetric.
-    # Eigenvalues must match numpy's dense eigvalsh within 64 eps ||A||inf.  Where the
-    # next eigenvalue of eigh lies above the returned ones by more than that tolerance,
-    # by g beyond it, the span of the returned vectors must match eigh's lowest count
-    # by the sin theta theorem (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970):
-    # ||sin Theta|| <= ||R||_F / g, R the residual of the returned pairs, plus the
-    # rounding of the products here.
+def _check_random_bands(mirror):
+    """Compare diagonalize with numpy's dense solvers on 400 random operators.
+
+    240 operators of half width 2, k from 3 to 120, each kind on 40 of them, then 160
+    clustered ones of half width 4 or 10, where tight clusters need the Rayleigh-Ritz
+    step on M, all with a random count from 1 to k.  Eigenvalues must match numpy's
+    dense eigvalsh within 64 eps ||A||inf.  Where the next eigenvalue of eigh lies
+    above the returned ones by more than that tolerance, by g beyond it, the span of
+    the returned vectors must match eigh's lowest count by the sin theta theorem
+    (Davis & Kahan, SIAM J. Numer. Anal. 7, 1970): ||sin Theta|| <= ||R||_F / g, R the
+    residual of the returned pairs, plus the rounding of the products here.
+    """
     rng = np.random.default_rng(26)
     kinds = ["definite", "indefinite", "zero", "repeated", "pieces", "clustered"]
     for trial in range(400):
         w = 2 if trial < 240 else 4 + 6 * (trial % 2)
         kind = kinds[trial % len(kinds)] if trial < 240 else "clustered"
         k = int(rng.integers(w + 1, 121))
-        matrix = _symmetric_band(rng, k, kind, w)
+        matrix = _random_band(rng, k, kind, w, mirror)
         count = int(rng.integers(1, k + 1))
         band = np.array([np.concatenate([np.diagonal(matrix, -d), np.zeros(d)])
                          for d in range(w + 1)])
@@ -475,6 +529,17 @@ def test_diagonalize_agrees_with_dense_solvers_on_random_symmetric_bands():
             outside = vectors[:, count:].T @ sol.eigenvectors
             bound = residual / gap + 64 * EPS * math.sqrt(k)
             assert np.linalg.norm(outside) <= bound, (trial, kind, k)
+
+
+def test_diagonalize_agrees_with_dense_solvers_on_random_symmetric_bands():
+    # none is built mirror-symmetric
+    _check_random_bands(mirror=False)
+
+
+def test_diagonalize_agrees_with_dense_solvers_on_random_mirror_operators():
+    # the oscillator's own symmetry: the one band must resolve the values that repeat
+    # exactly across the two parities, with no parity split to keep them apart
+    _check_random_bands(mirror=True)
 
 
 def test_diagonalize_memory_stays_far_below_a_square_basis():

@@ -119,9 +119,9 @@ class GridOperator:
         if len(shape) != 2 or not 1 <= shape[0] <= shape[1]:
             raise ValueError(f"operator band shape {shape} is not (w + 1, k) with w < k")
         k = shape[1]
-        if not np.all(np.isfinite(self.band)):
+        if not np.isfinite(self.band).all():
             raise ValueError("grid operator has non-finite entries (float64 overflow)")
-        if any(np.any(row[k - d:]) for d, row in enumerate(self.band)):
+        if any(row[k - d:].any() for d, row in enumerate(self.band[1:], 1)):
             raise ValueError("grid operator band holds entries outside the matrix")
 
 
@@ -434,14 +434,16 @@ def count_nodes(vector: npt.NDArray[np.float64]) -> int:
     v = np.asarray(vector, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("node counting needs a non-empty 1-D sample vector")
-    if not np.all(np.isfinite(v)):
+    magnitude = np.abs(v)
+    peak = float(magnitude.max())  # NaN or inf if any sample is
+    if not math.isfinite(peak):
         raise ValueError("node counting needs finite samples")
-    peak = np.max(np.abs(v))
     if peak == 0.0:
         raise ValueError("node counting needs a nonzero vector")
-    live = v[np.abs(v) > SIGN_THRESHOLD_RATIO * peak]
-    signs = np.sign(live)  # sign comparison, not products: products underflow
-    return int(np.sum(signs[:-1] != signs[1:]))
+    # Live samples are nonzero, so their signs are their sides of zero; comparing
+    # sides, not products, keeps underflow out.
+    positive = v[magnitude > SIGN_THRESHOLD_RATIO * peak] > 0.0
+    return int(np.count_nonzero(positive[:-1] != positive[1:]))
 
 
 def _stays_above(dense: tuple[Fraction, ...], floor: float):
@@ -517,6 +519,9 @@ def verify_dialled(
     `sequence_matches` (the node counts are the exact ascending permutation) and
     `degenerate` (two adjacent sorted exact energies a <= b lie within
     b - a <= DEGENERACY_FACTOR * tolerance * max(|a|, |b|)) are for information only.
+    The degeneracy test is exact and runs in integers: the float product
+    DEGENERACY_FACTOR * tolerance is read exactly as near / far, and with the energies
+    A / D and B / D over one common denominator D it asks (B - A) far <= near max(|A|, |B|).
 
     A negative leading coefficient makes P unbounded below on the levels, so the
     checked levels are not the lowest ones and a grid cannot confirm them: such a
@@ -565,14 +570,15 @@ def verify_dialled(
                 warning = (f"P does not stay above the kept values beyond the {len(mapped)} "
                            f"modes solved, and this grid resolves only h < {reach}, so levels "
                            f"0..{count - 1} may not be its lowest")
-    node_sequence = tuple([count_nodes(vector) for vector in solution.eigenvectors[:, kept].T])
+    node_sequence = tuple([count_nodes(vector) for vector in solution.eigenvectors.T[kept]])
 
     records = evaluate_spectrum(ham, max(count, max(node_sequence) + 1))
     permutation = ordering_report(records[:count]).ascending_permutation
     sorted_exact = [records[level].energy for level in permutation]
-    closeness = Fraction(DEGENERACY_FACTOR * tolerance)  # exact, so that nothing overflows
-    degenerate = any(b - a <= closeness * max(abs(a), abs(b))
-                     for a, b in zip(sorted_exact, sorted_exact[1:]))
+    # Exact, so that nothing overflows or rounds: near / far is the float product.
+    near, far = (DEGENERACY_FACTOR * tolerance).as_integer_ratio()
+    nums, _ = _common_denominator(sorted_exact)
+    degenerate = any((b - a) * far <= near * max(abs(a), abs(b)) for a, b in zip(nums, nums[1:]))
     exact = [records[level].energy for level in node_sequence]
     exact_floats = [float(e) for e in exact]
     zero_floor = tolerance * min((abs(e) for e in exact_floats if e != 0.0), default=0.0)

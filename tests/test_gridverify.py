@@ -722,12 +722,58 @@ def test_count_nodes_oscillator_states():
 
 
 def test_count_nodes_validation():
-    with pytest.raises(ValueError):
-        count_nodes(np.zeros(5))
-    with pytest.raises(ValueError):
-        count_nodes(np.array([1.0, math.nan]))
-    with pytest.raises(ValueError):
-        count_nodes(np.array([[1.0, -1.0]]))
+    for vector, message in [
+        (np.zeros(5), "a nonzero vector"),
+        ([0.0, -0.0], "a nonzero vector"),
+        ([1.0, math.nan], "finite samples"),
+        ([0.0, math.nan, math.inf], "finite samples"),
+        ([1.0, math.inf], "finite samples"),
+        ([-math.inf, 0.0], "finite samples"),
+        ([[1.0, -1.0]], "a non-empty 1-D sample vector"),
+        ([], "a non-empty 1-D sample vector"),
+    ]:
+        with pytest.raises(ValueError, match=f"^node counting needs {message}$"):
+            count_nodes(np.array(vector))
+
+
+def _sign_count(vector):
+    """The node count by the np.sign formula count_nodes first used, kept as a reference."""
+    v = np.asarray(vector, dtype=np.float64)
+    peak = np.max(np.abs(v))
+    live = v[np.abs(v) > gridverify.SIGN_THRESHOLD_RATIO * peak]
+    signs = np.sign(live)
+    return int(np.sum(signs[:-1] != signs[1:]))
+
+
+def test_count_nodes_matches_the_sign_formula():
+    # Seeded vectors whose samples sit in the bulk, a few ulps either side of the
+    # 1e-9 threshold or on it, or are exact zeros of either sign, under peaks from
+    # 1e300 down to subnormal ones, where the threshold itself underflows to 0.
+    rng = random.Random(30)
+    peaks = [1.0, 3.7e-5, 1e300, 1.7e308, 2.0**-1022, 2.0**-1074, 3 * 2.0**-1074,
+             2.0**-1060, 1e-310]
+    counts = set()
+    for _ in range(10_000):
+        peak = rng.choice(peaks)
+        edge = gridverify.SIGN_THRESHOLD_RATIO * peak
+        samples = []
+        for _ in range(rng.randint(0, 30)):
+            kind = rng.random()
+            if kind < 0.4:
+                x = rng.uniform(-1.0, 1.0) * peak
+            elif kind < 0.8:
+                x = edge
+                for _ in range(rng.randint(0, 3)):
+                    x = math.nextafter(x, rng.choice((0.0, math.inf)))
+            else:
+                x = 0.0
+            samples.append(rng.choice((1.0, -1.0)) * x)
+        samples.insert(rng.randint(0, len(samples)), rng.choice((1.0, -1.0)) * peak)
+        vector = np.array(samples)
+        count = count_nodes(vector)
+        assert count == _sign_count(vector), samples
+        counts.add(count)
+    assert len(counts) > 10
 
 
 # -------------------------------------------------------------- verify_dialled
@@ -829,6 +875,51 @@ def test_verify_checks_the_node_count_of_every_level(monkeypatch, ham, swap, gap
               if not c.within_tolerance}
     assert failed == {a: pytest.approx(gap, rel=1e-3), b: pytest.approx(gap, rel=1e-3)}
     assert not report.passed
+
+
+def _degenerate_oracle(ham, report):
+    """Two adjacent sorted exact energies within DEGENERACY_FACTOR * tolerance, in Fractions."""
+    energies = [evaluate_polynomial(ham, Fraction(2 * n + 1, 2)) for n in report.expected_sequence]
+    assert energies == sorted(energies)
+    closeness = Fraction(gridverify.DEGENERACY_FACTOR * report.tolerance)
+    return any(b - a <= closeness * max(abs(a), abs(b)) for a, b in zip(energies, energies[1:]))
+
+
+def test_verify_degenerate_agrees_with_a_fraction_oracle():
+    # Seeded dials, some with one adjacent pair of targets exactly on the degeneracy
+    # bound or a hair either side of it, at several tolerances.
+    rng = random.Random(30)
+    spec = GridSpec(half_width=8.0, points=201)
+    seen = []
+    for _ in range(40):
+        tolerance = rng.choice((1e-3, 2.5e-4, 1e-2, 0.05))
+        closeness = Fraction(gridverify.DEGENERACY_FACTOR * tolerance)
+        energies = [Fraction(rng.randint(-60, 60), rng.randint(1, 7)) for _ in range(rng.randint(2, 5))]
+        if rng.random() < 0.6:
+            i = rng.randrange(len(energies) - 1)
+            a = energies[i] or Fraction(1)
+            b = a / (1 - closeness) if a > 0 else a * (1 - closeness)  # b - a = c max(|a|, |b|)
+            energies[i:i + 2] = [a, b + rng.choice((0, 1, -1)) * Fraction(1, 2**70)]
+        ham = dial(SpectrumTarget.from_energies(energies))
+        report = verify_dialled(ham, spec, levels_to_check=len(energies), tolerance=tolerance)
+        assert report.degenerate == _degenerate_oracle(ham, report), energies
+        seen.append(report.degenerate)
+    assert True in seen and False in seen
+
+
+@pytest.mark.parametrize(("beyond", "degenerate"), [(0, True), (1, False)], ids=["on", "beyond"])
+def test_verify_degenerate_bound_is_inclusive_and_exact(beyond, degenerate):
+    # Levels -1 and -1 + c apart by exactly c max(|a|, |b|) = c, c = Fraction(10 tol);
+    # 2^-80 more is no longer degenerate, though it vanishes in float64.
+    tolerance = 1e-3
+    closeness = Fraction(gridverify.DEGENERACY_FACTOR * tolerance)
+    energies = [Fraction(-1), -1 + closeness + beyond * Fraction(1, 2**80)]
+    ham = dial(SpectrumTarget.from_energies(energies))
+    report = verify_dialled(ham, GridSpec(half_width=8.0, points=201), levels_to_check=2,
+                            tolerance=tolerance)
+    assert report.expected_sequence == (0, 1)
+    assert report.degenerate is degenerate
+    assert _degenerate_oracle(ham, report) is degenerate
 
 
 def test_verify_zero_polynomial_trivially_degenerate():

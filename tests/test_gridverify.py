@@ -1187,6 +1187,18 @@ def test_verify_keeps_the_pinned_verdicts_of_the_seed_61_stream():
     assert script["render"](got) == text
 
 
+def test_verify_keeps_the_pinned_verdicts_of_the_high_degree_stream():
+    # the same fields for the script's own stream of dials of degree 6-32, which the
+    # benchmark's degree 1-5 stream never reaches
+    script = runpy.run_path(str(Path(__file__).parent / "grid_verdicts.py"))
+    text = script["HIGH_GOLDEN"].read_text()
+    got = script["high_degree_verdicts"]()
+    for pinned, record in zip(json.loads(text), got):
+        changed = [field for field in pinned if record.get(field) != pinned[field]]
+        assert not changed, f"job {pinned['id']} changed {changed}: {record}"
+    assert script["render"](got) == text
+
+
 def test_verify_reports_do_not_depend_on_the_memo(monkeypatch):
     # one round of the seed-61 grid-verify stream, 28 jobs on four grids, run with
     # the memo kept between calls and with it cleared before each: equal reports,

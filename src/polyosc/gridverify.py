@@ -7,7 +7,10 @@ takes A's lowest modes, maps each mu through P by one float Horner step, keeps t
 lowest mapped values, counts the nodes of their eigenvectors and compares all of it
 against the exact analytic spectrum.  Where P rises at infinity and a higher mode
 may still map lower, it solves again up to where P stays above the kept values,
-or fails as unresolved beyond the grid's reach.  A's lowest eigenpairs come from
+or fails as unresolved beyond the grid's reach; whether and from where P stays
+above a value is decided exactly from P's coefficients, by Descartes' rule of
+signs and Collins-Akritas bisection (spectrum._positive_from and _root_ceiling).
+A's lowest eigenpairs come from
 shift-invert Lanczos on one banded Cholesky factor of A, checked complete by a Sturm
 count, so nothing of size k x k is formed.  Because the route runs through an
 eigensolver rather than the defining linear system, agreement is evidence and not
@@ -25,7 +28,7 @@ The 5-point stencil pushes the discretization error three orders of magnitude
 below the verification tolerance, for a band of half width 2 instead of 1.
 """
 
-import bisect
+import functools
 import math
 import numbers
 import threading
@@ -39,7 +42,7 @@ import numpy.typing as npt
 from . import EigensolverError
 from .exactalg import PolynomialHamiltonian, _common_denominator
 from .oscillator import _as_index
-from .spectrum import evaluate_spectrum, ordering_report
+from .spectrum import _positive_from, _root_ceiling, evaluate_spectrum, ordering_report
 
 SIGN_THRESHOLD_RATIO = 1e-9
 RESIDUAL_TOLERANCE = 1e-8
@@ -172,6 +175,7 @@ class VerificationReport:
     passed: bool
 
 
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
 def build_oscillator_grid(spec: GridSpec) -> GridOperator:
     """Discretized oscillator -(1/2) D2 + diag(x_i^2 / 2) with Dirichlet walls.
 
@@ -180,6 +184,8 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
     is stored as its three lower diagonals; rows near the walls drop the samples that
     fall outside, which implicitly clamps the wavefunction to zero there.  Grids above
     MAX_GRID_POINTS, and spacings whose 1/(24 dx^2) is not finite, raise ValueError.
+    The operator depends on the spec alone, so the last MEMO_ENTRIES built are kept
+    and an equal spec gets the same one, its band read-only.
     """
     if spec.points > MAX_GRID_POINTS:
         raise ValueError(f"{spec.points} grid points exceed the grid limit of {MAX_GRID_POINTS}")
@@ -196,6 +202,7 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
         band[0] = 30.0 * c + 0.5 * x * x
     band[1, :-1] = -16.0 * c
     band[2, :-2] = c
+    band.flags.writeable = False
     return GridOperator(band)
 
 
@@ -446,43 +453,6 @@ def count_nodes(vector: npt.NDArray[np.float64]) -> int:
     return int(np.count_nonzero(positive[:-1] != positive[1:]))
 
 
-def _stays_above(dense: tuple[Fraction, ...], floor: float):
-    """The test of a point h0 that P(h) > floor for every h >= h0, decided exactly.
-
-    `dense` holds a_1..a_d of P, with a_d > 0; floor and h0 are read exactly.  The
-    test holds where Q = P - floor is positive at h0 and has no real root above it,
-    which Sturm's theorem counts as the sign changes the chain Q, Q', -rem(Q, Q'), ...
-    loses between h0 and infinity; where Q has a repeated root the chain ends in
-    gcd(Q, Q') and counts distinct roots.  The chain runs in integers: each member is
-    a positive multiple of the one it stands for, reduced to content 1.
-    """
-    chain = [_common_denominator([-Fraction(floor), *dense])[0][::-1]]  # descending
-    chain.append([c * (len(dense) - i) for i, c in enumerate(chain[0][:-1])])
-    while True:
-        rest, divisor = chain[-2], chain[-1]
-        while len(rest) >= len(divisor):  # |lead| rest minus a multiple of divisor
-            f = rest[0] if divisor[0] > 0 else -rest[0]
-            rest = [abs(divisor[0]) * a - f * b
-                    for a, b in zip(rest[1:], divisor[1:] + [0] * len(rest))]
-        while rest and not rest[0]:
-            rest = rest[1:]
-        if not rest:
-            break
-        content = math.gcd(*rest)
-        chain.append([-c // content for c in rest])
-
-    def changes(values):
-        signs = [v > 0 for v in values if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    def test(point) -> bool:  # p(n / d) d^deg p has the sign of p(n / d)
-        n, d = float(point).as_integer_ratio()
-        values = [sum(c * n ** (len(p) - 1 - i) * d**i for i, c in enumerate(p)) for p in chain]
-        return values[0] > 0 and changes(values) == changes([p[0] for p in chain])
-
-    return test
-
-
 def verify_dialled(
     ham: PolynomialHamiltonian,
     spec: GridSpec | None = None,
@@ -496,14 +466,16 @@ def verify_dialled(
     float Horner with matrix_polynomial(eigenvalues, ham), and keeps the `count`
     lowest mapped values, ties to the lower mode, with the node counts of their
     eigenvectors.  For P rising at infinity and M < k, they are P's lowest if
-    P(h) stays above them for every h >= mu_{M-1}, which a Sturm chain of P minus the
-    highest kept value decides exactly from P's coefficients.  If not, A is solved once
-    more for min(count + 2 + s, k) modes, s the least integer from which P stays above
-    them, sought below the grid's reach ceil(min(L, 1/dx)^2 / 2) (the box resolves
-    modes with turning point sqrt(2 mu) < L and sqrt(2 mu) dx <= 1).  Without such an
-    s, or if the last of those modes still lies below where P stays above the kept
-    values, the run fails as unresolved, with the rows of its last solve and a warning
-    that says why.
+    P(h) stays above them for every h >= mu_{M-1}.  That is decided exactly, in
+    integers, for Q = P minus the highest kept value: Descartes' rule on Q moved to
+    mu_{M-1} settles it where the shifted coefficients have no sign change (no root
+    above mu_{M-1}), and Collins-Akritas bisection on Q's square-free part otherwise.
+    If not, A is solved once more for min(count + 2 + s, k) modes, s the least
+    integer above Q's largest real root, where s lies below the grid's reach
+    ceil(min(L, 1/dx)^2 / 2) (the box resolves modes with turning point
+    sqrt(2 mu) < L and sqrt(2 mu) dx <= 1).  Where s does not, or if the last of those
+    modes still lies below where P stays above the kept values, the run fails as
+    unresolved, with the rows of its last solve and a warning that says why.
 
     Each kept mode is an eigenvector of A, whose eigenvalues are all simple, so its
     node count n names its level and its mapped value is compared with the exact
@@ -552,20 +524,23 @@ def verify_dialled(
         mapped = matrix_polynomial(solution.eigenvalues, ham)
         return solution, mapped, np.argsort(mapped, kind="stable")[:count]
 
+    def lifted(floor):  # integer coefficients of a positive multiple of P - floor
+        return _common_denominator([-Fraction(floor), *dense])[0]
+
     # The modes asked for set where each Lanczos run stops, and so the eigenvalues' last
     # bits, so the first ask stays count + 2: any other would change the printed values.
     solution, mapped, kept = solve(min(count + 2, spec.points))
     warning = None
     if rising and len(mapped) < spec.points:
-        stays_above = _stays_above(dense, mapped[kept[-1]])
-        if not stays_above(solution.eigenvalues[-1]):
+        q = lifted(mapped[kept[-1]])
+        if not _positive_from(q, solution.eigenvalues[-1]):
             reach = math.ceil(min(spec.half_width, 1.0 / spec.spacing) ** 2 / 2)
-            rise = bisect.bisect_left(range(reach), True, key=stays_above)
+            rise = min(reach, _root_ceiling(q))  # q has a root at or above A's mode > 0
             covered = False
             if rise < reach:  # mode count + 1 + rise lies above rise where A resolves it
                 solution, mapped, kept = solve(min(count + 2 + rise, spec.points))
-                covered = len(mapped) == spec.points or _stays_above(
-                    dense, mapped[kept[-1]])(solution.eigenvalues[-1])
+                covered = len(mapped) == spec.points or _positive_from(
+                    lifted(mapped[kept[-1]]), solution.eigenvalues[-1])
             if not covered:
                 warning = (f"P does not stay above the kept values beyond the {len(mapped)} "
                            f"modes solved, and this grid resolves only h < {reach}, so levels "

@@ -620,9 +620,10 @@ def test_diagonalize_returns_read_only_arrays():
 
 def test_diagonalize_memo_misses_on_another_count_or_entry(monkeypatch):
     # the key is the band's content, not the operator object: an entry changed in
-    # place, here the centre sample by one ulp, is a new operator
+    # place, here the centre sample of a copy of the read-only band by one ulp, is a
+    # new operator
     calls = _solve_calls(monkeypatch)
-    op = build_oscillator_grid(GridSpec(half_width=10.0, points=401))
+    op = GridOperator(build_oscillator_grid(GridSpec(half_width=10.0, points=401)).band.copy())
     diagonalize(op, 11)
     diagonalize(op, 11)
     assert calls == [11]
@@ -631,6 +632,18 @@ def test_diagonalize_memo_misses_on_another_count_or_entry(monkeypatch):
     op.band[0, 200] = np.nextafter(op.band[0, 200], np.inf)
     diagonalize(op, 11)
     assert calls == [11, 13, 11]
+
+
+def test_build_oscillator_grid_gives_equal_specs_one_read_only_operator():
+    # the operator depends on the spec alone: an equal spec, here one with an int half
+    # width, gets the same object, the last MEMO_ENTRIES specs are kept, and no caller
+    # can change the shared band
+    op = build_oscillator_grid(GridSpec(half_width=10.0, points=401))
+    assert build_oscillator_grid(GridSpec(half_width=10, points=401)) is op
+    assert build_oscillator_grid(GridSpec(half_width=10.0, points=403)) is not op
+    assert build_oscillator_grid.cache_info().maxsize == gridverify.MEMO_ENTRIES
+    with pytest.raises(ValueError, match="read-only"):
+        op.band[0, 200] = 0.0
 
 
 def test_diagonalize_memo_keeps_the_four_last_used(monkeypatch):
@@ -1047,9 +1060,9 @@ def test_verify_fails_when_the_retry_does_not_cover(monkeypatch):
     # cover; its rows are those of the unpatched run, which covers there.
     spec = GridSpec(half_width=10.0, points=401)
     expected = verify_dialled(VALLEY, spec)
-    stays_above = gridverify._stays_above
-    monkeypatch.setattr(gridverify, "_stays_above", lambda dense, floor: (
-        lambda point: isinstance(point, int) and stays_above(dense, floor)(point)))
+    positive_from = gridverify._positive_from
+    monkeypatch.setattr(gridverify, "_positive_from", lambda q, point: (
+        isinstance(point, int) and positive_from(q, point)))
     sizes = _diagonalize_counts(monkeypatch)
     report = verify_dialled(VALLEY, spec)
     assert sizes == [11, 28]
@@ -1069,24 +1082,6 @@ def test_verify_passes_where_p_rises_through_a_flat_point(monkeypatch):
     report = verify_dialled(PolynomialHamiltonian.from_dense([10800, -180, 1]), GridSpec())
     assert sizes == [11]
     assert report.passed and report.warning is None
-
-
-@pytest.mark.parametrize(
-    ("dense", "floor", "points"),
-    [([10800, -180, 1], 0.0, {0.0: False, 0.5: True, 60.0: True}),
-     # (h - 5)^2 - 25 touches -25 at h = 5 only
-     ([-10, 1], -25.0, {0.0: False, 5.0: False, 5.5: True}),
-     ([-10, 1], -24.0, {4.5: False, 6.0: False, 6.000001: True}),
-     # (h^2 - 1)^2 - 1 touches -1 at h = 1, a double root of the chain's Q
-     ([0, -2, 0, 1], -1.0, {0.5: False, 1.0: False, 1.5: True}),
-     ([0, -2, 0, 1], -1.5, {0.0: True})],
-    ids=["inflection", "touch", "two-roots", "double-root", "above"],
-)
-def test_stays_above_decides_exactly(dense, floor, points):
-    # whether P(h) > floor for every h >= the point, where Descartes' rule on P' alone
-    # leaves the inflection and the double root open
-    stays_above = gridverify._stays_above(tuple(Fraction(c) for c in dense), floor)
-    assert {point: stays_above(point) for point in points} == points
 
 
 def test_verify_coarse_grid_fails_without_raising():

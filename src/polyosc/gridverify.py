@@ -7,18 +7,18 @@ takes A's lowest modes, maps each mu through P by one float Horner step, keeps t
 lowest mapped values, counts the nodes of their eigenvectors and compares all of it
 against the exact analytic spectrum.  Where P rises at infinity and a higher mode
 may still map lower, it solves again up to where P stays above the kept values,
-or fails as unresolved beyond the grid's reach; whether and from where P stays
-above a value is decided exactly from P's coefficients, by Descartes' rule of
-signs and Collins-Akritas bisection (spectrum._positive_from and _root_ceiling).
-A's lowest eigenpairs come from
-shift-invert Lanczos on one banded Cholesky factor of A, checked complete by a Sturm
-count, so nothing of size k x k is formed.  Because the route runs through an
-eigensolver rather than the defining linear system, agreement is evidence and not
-tautology.  A depends on the grid alone, never on P, so diagonalize memoises its
-validated solutions, keyed on the band's dtype, shape and bytes and on the count
-of modes: it keeps the last MEMO_ENTRIES used, none with eigenvectors above
-MEMO_BYTES, and returns their arrays read-only.  One process that verifies many P
-on one grid thus solves that grid once.
+or fails as unresolved beyond the grid's reach.  Whether and from where P stays
+above a value is decided exactly from P's coefficients, by Descartes' rule of signs
+and Collins-Akritas bisection (spectrum._positive_from and _root_ceiling).  A's
+lowest eigenpairs come from shift-invert Lanczos on one banded Cholesky factor of
+A, checked complete by a Sturm count of the band, so nothing of size k x k is
+formed.  Because the route runs through an eigensolver rather than the defining
+linear system, agreement is evidence and not tautology.  A depends on the grid
+alone, never on P, so build_oscillator_grid keeps its last MEMO_ENTRIES operators
+and diagonalize memoises its validated solutions, keyed on the band's dtype, shape
+and bytes and on the count of modes: it keeps the last MEMO_ENTRIES used, none with
+eigenvectors above MEMO_BYTES, and returns their arrays read-only.  One process
+that verifies many P on one grid thus builds and solves that grid once.
 
 The Laplacian stencil is the 5-point fourth-order one.  The classic 3-point stencil
 has eigenvalue error (dx^2/24)<p^4> per level, which the polynomial amplifies by
@@ -64,7 +64,7 @@ EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
 # diagonalize's memo: the last MEMO_ENTRIES solutions used, none whose eigenvectors
 # exceed MEMO_BYTES, so that it holds at most 4 MiB of them (the eleven modes of a
-# 1001-point grid take 88 KiB).
+# 1001-point grid take 88 KiB).  build_oscillator_grid keeps as many operators.
 MEMO_ENTRIES = 4
 MEMO_BYTES = 1 << 20
 _memo: OrderedDict = OrderedDict()  # (dtype, shape, band bytes, count) -> GridEigenSolution

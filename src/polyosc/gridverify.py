@@ -14,9 +14,9 @@ lowest eigenpairs come from shift-invert Lanczos on one banded Cholesky factor o
 A, checked complete by a Sturm count of the band, so nothing of size k x k is
 formed.  Because the route runs through an eigensolver rather than the defining
 linear system, agreement is evidence and not tautology.  A depends on the grid
-alone, never on P, so build_oscillator_grid keeps its last MEMO_ENTRIES operators
-and diagonalize memoises its validated solutions, keyed on the band's dtype, shape
-and bytes and on the count of modes: it keeps the last MEMO_ENTRIES used, none with
+alone, never on P, so build_oscillator_grid keeps its last MEMO_ENTRIES operators,
+one per grid, and diagonalize memoises its validated solutions, keyed on that
+operator and the count of modes: it keeps the last MEMO_ENTRIES used, none with
 eigenvectors above MEMO_BYTES, and returns their arrays read-only.  One process
 that verifies many P on one grid thus builds and solves that grid once.
 
@@ -31,8 +31,6 @@ below the verification tolerance, for a band of half width 2 instead of 1.
 import functools
 import math
 import numbers
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,13 +60,12 @@ START_SEED = 0
 CONVERGED = 2.0**-46
 EPS = float(np.finfo(np.float64).eps)
 TINY = float(np.finfo(np.float64).tiny)
-# diagonalize's memo: the last MEMO_ENTRIES solutions used, none whose eigenvectors
-# exceed MEMO_BYTES, so that it holds at most 4 MiB of them (the eleven modes of a
-# 1001-point grid take 88 KiB).  build_oscillator_grid keeps as many operators.
-MEMO_ENTRIES = 4
+# diagonalize's memo: the last MEMO_ENTRIES solutions used, eight so that retry solves
+# leave room for the base ones, none whose eigenvectors exceed MEMO_BYTES: at most 8 MiB
+# of them (the eleven modes of a 1001-point grid take 88 KiB).  build_oscillator_grid
+# keeps as many operators.
+MEMO_ENTRIES = 8
 MEMO_BYTES = 1 << 20
-_memo: OrderedDict = OrderedDict()  # (dtype, shape, band bytes, count) -> GridEigenSolution
-_memo_lock = threading.Lock()
 
 
 def _as_real(value, name: str) -> float:
@@ -105,26 +102,30 @@ class GridSpec:
         return np.linspace(-self.half_width, self.half_width, self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridOperator:
     """Real symmetric band matrix acting on k grid samples, held as its lower band.
 
     `band` has shape (w + 1, k) for half bandwidth w < k: band[d, j] is the entry
     (j + d, j), the LAPACK lower symmetric band layout.  The upper half is implied,
     so the operator is symmetric by its storage.  The last d slots of row d lie
-    outside the matrix and must be zero.
+    outside the matrix and must be zero.  The operator keeps a read-only copy of the
+    band, in its dtype, so that these checks hold for its life; it compares by identity.
     """
 
     band: npt.NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        shape = self.band.shape
+        band = self.band.copy()
+        band.flags.writeable = False
+        object.__setattr__(self, "band", band)
+        shape = band.shape
         if len(shape) != 2 or not 1 <= shape[0] <= shape[1]:
             raise ValueError(f"operator band shape {shape} is not (w + 1, k) with w < k")
         k = shape[1]
-        if not np.isfinite(self.band).all():
+        if not np.isfinite(band).all():
             raise ValueError("grid operator has non-finite entries (float64 overflow)")
-        if any(row[k - d:].any() for d, row in enumerate(self.band[1:], 1)):
+        if any(row[k - d:].any() for d, row in enumerate(band[1:], 1)):
             raise ValueError("grid operator band holds entries outside the matrix")
 
 
@@ -185,7 +186,7 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
     fall outside, which implicitly clamps the wavefunction to zero there.  Grids above
     MAX_GRID_POINTS, and spacings whose 1/(24 dx^2) is not finite, raise ValueError.
     The operator depends on the spec alone, so the last MEMO_ENTRIES built are kept
-    and an equal spec gets the same one, its band read-only.
+    and an equal spec gets the same one, which diagonalize's memo then finds.
     """
     if spec.points > MAX_GRID_POINTS:
         raise ValueError(f"{spec.points} grid points exceed the grid limit of {MAX_GRID_POINTS}")
@@ -202,7 +203,6 @@ def build_oscillator_grid(spec: GridSpec) -> GridOperator:
         band[0] = 30.0 * c + 0.5 * x * x
     band[1, :-1] = -16.0 * c
     band[2, :-2] = c
-    band.flags.writeable = False
     return GridOperator(band)
 
 
@@ -366,14 +366,14 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     pair by pair, by the residual bound ||A v - lambda v|| <= 1e-8 max(||A||inf, 1).
 
     Both arrays are read-only, for a validated solution is memoised: keyed on the
-    band's dtype, shape and bytes and on `count`, the last MEMO_ENTRIES solutions
-    used are kept, unless their eigenvectors exceed MEMO_BYTES, and a call that
-    matches one returns it as it is.  The solve is a function of the band's content
-    and the count alone, seeded Lanczos included, so a hit is bit for bit the solve
-    it skips.  verify_dialled maps the oscillator grid's eigenvalues through P, so
-    one process that verifies many P on one grid solves that grid once.  A solution
-    for another count is never cut down or reused: the count sets where each Lanczos
-    run stops, and so the last bits of its eigenvalues.
+    operator, by identity, and on `count`, the last MEMO_ENTRIES solutions used are
+    kept, unless their eigenvectors exceed MEMO_BYTES, and a call that matches one
+    returns it as it is.  The solve is a function of the band's content and the count
+    alone, seeded Lanczos included, and an operator's band is a read-only copy, so a
+    hit is bit for bit the solve it skips.  build_oscillator_grid gives an equal grid
+    the same operator, so one process that verifies many P on one grid solves that
+    grid once.  A solution for another count is never cut down or reused: the count
+    sets where each Lanczos run stops, and so the last bits of its eigenvalues.
 
     Raises:
         EigensolverError: On a LAPACK or Lanczos failure or a failed validity check.
@@ -382,12 +382,15 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     count = _as_index(count, "eigenpair count", 1)
     if count > k:
         raise ValueError(f"can retain at most {k} eigenpairs, got {count}")
-    key = (operator.band.dtype.str, operator.band.shape, operator.band.tobytes(), count)
-    with _memo_lock:
-        hit = _memo.get(key)
-        if hit is not None:
-            _memo.move_to_end(key)
-            return hit
+    # 8 k count bytes are exactly the float64 eigenvectors' nbytes.
+    solve = _solve if 8 * k * count <= MEMO_BYTES else _solve.__wrapped__
+    return solve(operator, count)
+
+
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _solve(operator: GridOperator, count: int) -> GridEigenSolution:
+    """diagonalize's validated solve, for a count it has checked."""
+    k = operator.band.shape[1]
     peak = float(np.abs(operator.band).max())
     # A power of two, so that scaling adds no rounding; the entries end up below 2.
     unit = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0.0 else 1.0
@@ -423,11 +426,6 @@ def diagonalize(operator: GridOperator, count: int) -> GridEigenSolution:
     solution = GridEigenSolution(values * unit, vectors)
     solution.eigenvalues.flags.writeable = False
     solution.eigenvectors.flags.writeable = False
-    if solution.eigenvectors.nbytes <= MEMO_BYTES:
-        with _memo_lock:
-            _memo[key] = solution
-            if len(_memo) > MEMO_ENTRIES:
-                _memo.popitem(last=False)
     return solution
 
 

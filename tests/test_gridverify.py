@@ -40,7 +40,7 @@ def cold_memo():
     solver, so a test that patches _lanczos or dpbtrs, or traces the solve's
     allocations, would see none of it.
     """
-    gridverify._memo.clear()
+    gridverify._solve.cache_clear()
 
 
 def dense(op):
@@ -601,7 +601,7 @@ def test_diagonalize_memo_hit_equals_a_cold_solve():
     # another operator object built from the same grid
     spec = GridSpec(half_width=10.0, points=401)
     cold = diagonalize(build_oscillator_grid(spec), 11)
-    gridverify._memo.clear()
+    gridverify._solve.cache_clear()
     stored = diagonalize(build_oscillator_grid(spec), 11)
     hit = diagonalize(build_oscillator_grid(spec), 11)
     assert hit is stored
@@ -619,19 +619,33 @@ def test_diagonalize_returns_read_only_arrays():
 
 
 def test_diagonalize_memo_misses_on_another_count_or_entry(monkeypatch):
-    # the key is the band's content, not the operator object: an entry changed in
-    # place, here the centre sample of a copy of the read-only band by one ulp, is a
-    # new operator
+    # the key is the operator object, which holds a read-only copy of its band: the
+    # band cannot be written, an operator built from a band nudged by one ulp at the
+    # centre sample is another key, and writing the array an operator was built from
+    # changes neither its band nor its solution
     calls = _solve_calls(monkeypatch)
-    op = GridOperator(build_oscillator_grid(GridSpec(half_width=10.0, points=401)).band.copy())
-    diagonalize(op, 11)
+    source = build_oscillator_grid(GridSpec(half_width=10.0, points=401)).band.copy()
+    op = GridOperator(source)
+    with pytest.raises(ValueError, match="read-only"):
+        op.band[0, 200] = 0.0
+    first = diagonalize(op, 11)
     diagonalize(op, 11)
     assert calls == [11]
     diagonalize(op, 13)
     assert calls == [11, 13]
-    op.band[0, 200] = np.nextafter(op.band[0, 200], np.inf)
-    diagonalize(op, 11)
+    nudged = source.copy()
+    nudged[0, 200] = np.nextafter(nudged[0, 200], np.inf)
+    diagonalize(GridOperator(nudged), 11)
     assert calls == [11, 13, 11]
+    band = op.band.copy()
+    source[0, 200] = 0.0
+    assert np.array_equal(op.band, band)
+    assert diagonalize(op, 11) is first and calls == [11, 13, 11]
+    gridverify._solve.cache_clear()
+    again = diagonalize(op, 11)
+    assert calls == [11, 13, 11, 11]
+    assert np.array_equal(again.eigenvalues, first.eigenvalues)
+    assert np.array_equal(again.eigenvectors, first.eigenvectors)
 
 
 def test_build_oscillator_grid_gives_equal_specs_one_read_only_operator():
@@ -646,18 +660,19 @@ def test_build_oscillator_grid_gives_equal_specs_one_read_only_operator():
         op.band[0, 200] = 0.0
 
 
-def test_diagonalize_memo_keeps_the_four_last_used(monkeypatch):
+def test_diagonalize_memo_keeps_the_eight_last_used(monkeypatch):
     calls = _solve_calls(monkeypatch)
-    ops = [build_oscillator_grid(GridSpec(half_width=6.0, points=51 + i)) for i in range(5)]
-    for op in ops[:4]:
+    ops = [build_oscillator_grid(GridSpec(half_width=6.0, points=51 + i)) for i in range(9)]
+    for op in ops[:8]:
         diagonalize(op, 3)
     diagonalize(ops[0], 3)  # a hit, which makes ops[0] the last used
-    diagonalize(ops[4], 3)  # the fifth drops the least recently used, ops[1]
-    assert len(calls) == 5 and len(gridverify._memo) == gridverify.MEMO_ENTRIES == 4
+    diagonalize(ops[8], 3)  # the ninth drops the least recently used, ops[1]
+    assert len(calls) == 9
+    assert gridverify._solve.cache_info().currsize == gridverify.MEMO_ENTRIES == 8
     diagonalize(ops[0], 3)
-    assert len(calls) == 5
+    assert len(calls) == 9
     diagonalize(ops[1], 3)
-    assert len(calls) == 6 and len(gridverify._memo) == 4
+    assert len(calls) == 10 and gridverify._solve.cache_info().currsize == 8
 
 
 @pytest.mark.parametrize(("count", "kept"), [(256, True), (257, False)])
@@ -668,22 +683,22 @@ def test_diagonalize_memo_keeps_no_solution_above_a_mebibyte(monkeypatch, count,
     calls = _solve_calls(monkeypatch)
     op = build_oscillator_grid(GridSpec(half_width=10.0, points=512))
     first = diagonalize(op, count)
-    assert len(gridverify._memo) == kept
+    assert gridverify._solve.cache_info().currsize == kept
     second = diagonalize(op, count)
     assert calls == [count] * (2 - kept)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
 
 def test_diagonalize_memo_is_safe_across_threads():
-    # four threads over six operators, more than the memo keeps, with a short switch
+    # four threads over ten operators, more than the memo keeps, with a short switch
     # interval so that threads interleave inside diagonalize: every result must equal
     # its cold solve and the memo must never hold more than MEMO_ENTRIES
-    ops = [build_oscillator_grid(GridSpec(half_width=6.0, points=31 + i)) for i in range(6)]
+    ops = [build_oscillator_grid(GridSpec(half_width=6.0, points=31 + i)) for i in range(10)]
     reference = []
     for op in ops:
-        gridverify._memo.clear()
+        gridverify._solve.cache_clear()
         reference.append(diagonalize(op, 5).eigenvalues)
-    gridverify._memo.clear()
+    gridverify._solve.cache_clear()
     wrong, sizes = [], []
 
     def work(shift):
@@ -691,8 +706,7 @@ def test_diagonalize_memo_is_safe_across_threads():
             j = (i + shift) % len(ops)
             if not np.array_equal(diagonalize(ops[j], 5).eigenvalues, reference[j]):
                 wrong.append(j)
-            with gridverify._memo_lock:
-                sizes.append(len(gridverify._memo))
+            sizes.append(gridverify._solve.cache_info().currsize)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1195,22 +1209,24 @@ def test_verify_keeps_the_pinned_verdicts_of_the_high_degree_stream():
 
 
 def test_verify_reports_do_not_depend_on_the_memo(monkeypatch):
-    # one round of the seed-61 grid-verify stream, 28 jobs on four grids, run with
+    # three rounds of the seed-61 grid-verify stream, 84 jobs on four grids, run with
     # the memo kept between calls and with it cleared before each: equal reports,
-    # floats included, and the warm pass solves each grid's first ask once
+    # floats included, and the warm pass solves each grid's first ask once, though
+    # retry solves come between them
     script = runpy.run_path(str(Path(__file__).parent / "grid_verdicts.py"))
-    jobs = script["jobs"].RoundSource("grid-verify", 61, "").next_round()
+    source = script["jobs"].RoundSource("grid-verify", 61, "")
+    jobs = [job for _ in range(3) for job in source.next_round()]
     runs = [script["worker"].prepare_verify(job)[0] for job in jobs]
 
     def cold(run):
-        gridverify._memo.clear()
+        gridverify._solve.cache_clear()
         return run()
 
     expected = [cold(run) for run in runs]
-    gridverify._memo.clear()
+    gridverify._solve.cache_clear()
     calls = _solve_calls(monkeypatch)
     assert [run() for run in runs] == expected
-    assert len(jobs) == 28 and calls.count(11) == len({job["points"] for job in jobs}) == 4
+    assert len(jobs) == 84 and calls.count(11) == len({job["points"] for job in jobs}) == 4
 
 
 def test_verify_levels_validation():

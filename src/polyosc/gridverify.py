@@ -2,14 +2,15 @@
 
 The oscillator is discretized by central finite differences on a uniform grid with
 hard walls and held as a symmetric band matrix A.  P(A) has A's eigenvectors, with
-eigenvalue P(mu) for each eigenvalue mu of A, so the verifier never forms P(A): it
-takes A's lowest modes, maps each mu through P by one float Horner step, keeps the
-lowest mapped values, counts the nodes of their eigenvectors and compares all of it
-against the exact analytic spectrum.  Where P rises at infinity and a higher mode
-may still map lower, it solves again up to where P stays above the kept values,
-or fails as unresolved beyond the grid's reach.  Whether and from where P stays
+eigenvalue P(mu) for each eigenvalue mu of A, so the verifier never forms P(A).  Its
+grid side, one function that reads only P's coefficients, takes A's lowest modes,
+maps each mu through P by one float Horner step, keeps the lowest mapped values and
+counts the nodes of their eigenvectors.  Where P rises at infinity and a higher mode
+may still map lower, it solves again up to where P stays above the kept values, or
+marks the run unresolved beyond the grid's reach.  Whether and from where P stays
 above a value is decided exactly from P's coefficients, by Descartes' rule of signs
-and Collins-Akritas bisection (spectrum._positive_from and _root_ceiling).  A's
+and Collins-Akritas bisection (spectrum._positive_from and _root_ceiling).  The
+exact side judges what it returns against the exact analytic spectrum.  A's
 lowest eigenpairs come from shift-invert Lanczos on one banded Cholesky factor of
 A, checked complete by a Sturm count of the band, so nothing of size k x k is
 formed.  Because the route runs through an eigensolver rather than the defining
@@ -451,6 +452,64 @@ def count_nodes(vector: npt.NDArray[np.float64]) -> int:
     return int(np.count_nonzero(positive[:-1] != positive[1:]))
 
 
+def _measure_grid(ham: PolynomialHamiltonian, spec: GridSpec, count: int) -> tuple:
+    """The grid side reads only P's coefficients.  It diagonalises the oscillator grid A
+    for its lowest M = min(count + 2, k) modes, maps their eigenvalues mu through P by
+    float Horner with matrix_polynomial(eigenvalues, ham), and keeps the `count` lowest
+    mapped values, ties to the lower mode, with the node counts of their eigenvectors:
+    it returns (values, nodes, warning).  For P rising at infinity and M < k, they are
+    P's lowest if P(h) stays above them for every h >= mu_{M-1}.  That is decided
+    exactly, in integers, for Q = P minus the highest kept value: Descartes' rule on Q
+    moved to mu_{M-1} settles it where the shifted coefficients have no sign change (no
+    root above mu_{M-1}), and Collins-Akritas bisection on Q's square-free part
+    otherwise.  If not, A is solved once more for min(count + 2 + s, k) modes, s the
+    least integer above Q's largest real root, where s lies below the grid's reach
+    ceil(min(L, 1/dx)^2 / 2) (the box resolves modes with turning point sqrt(2 mu) < L
+    and sqrt(2 mu) dx <= 1).  Where s does not, or if the last of those modes still lies
+    below where P stays above the kept values, the run fails as unresolved, with the
+    rows of its last solve and a warning that says why.
+
+    A negative leading coefficient makes P unbounded below on the levels, so the
+    checked levels are not the lowest ones and a grid cannot confirm them: such a
+    report fails and its warning says why; its grid side maps the first M modes
+    only, and its levels may all agree.
+    """
+    operator = build_oscillator_grid(spec)
+    dense = ham.dense_coefficients()
+
+    def solve(modes):  # A's lowest modes, through P, and the count lowest of them
+        solution = diagonalize(operator, modes)
+        mapped = matrix_polynomial(solution.eigenvalues, ham)
+        return solution, mapped, np.argsort(mapped, kind="stable")[:count]
+
+    def lifted(floor):  # integer coefficients of a positive multiple of P - floor
+        return _common_denominator([-Fraction(floor), *dense])[0]
+
+    # The modes asked for set where each Lanczos run stops, and so the eigenvalues' last
+    # bits, so the first ask stays count + 2: any other would change the printed values.
+    solution, mapped, kept = solve(min(count + 2, spec.points))
+    warning = None
+    if dense and dense[-1] < 0:
+        warning = (f"P is unbounded below (leading coefficient {dense[-1]} < 0), so levels "
+                   f"0..{count - 1} are not its lowest")
+    elif dense and len(mapped) < spec.points:
+        q = lifted(mapped[kept[-1]])
+        if not _positive_from(q, solution.eigenvalues[-1]):
+            reach = math.ceil(min(spec.half_width, 1.0 / spec.spacing) ** 2 / 2)
+            rise = min(reach, _root_ceiling(q))  # q has a root at or above A's mode > 0
+            covered = False
+            if rise < reach:  # mode count + 1 + rise lies above rise where A resolves it
+                solution, mapped, kept = solve(min(count + 2 + rise, spec.points))
+                covered = len(mapped) == spec.points or _positive_from(
+                    lifted(mapped[kept[-1]]), solution.eigenvalues[-1])
+            if not covered:
+                warning = (f"P does not stay above the kept values beyond the {len(mapped)} "
+                           f"modes solved, and this grid resolves only h < {reach}, so levels "
+                           f"0..{count - 1} may not be its lowest")
+    node_sequence = tuple([count_nodes(vector) for vector in solution.eigenvectors.T[kept]])
+    return mapped[kept].tolist(), node_sequence, warning
+
+
 def verify_dialled(
     ham: PolynomialHamiltonian,
     spec: GridSpec | None = None,
@@ -459,44 +518,24 @@ def verify_dialled(
 ) -> VerificationReport:
     """Cross-check a polynomial Hamiltonian's spectrum and node ordering on a grid.
 
-    The grid side reads only P's coefficients.  It diagonalises the oscillator grid A
-    for its lowest M = min(count + 2, k) modes, maps their eigenvalues mu through P by
-    float Horner with matrix_polynomial(eigenvalues, ham), and keeps the `count`
-    lowest mapped values, ties to the lower mode, with the node counts of their
-    eigenvectors.  For P rising at infinity and M < k, they are P's lowest if
-    P(h) stays above them for every h >= mu_{M-1}.  That is decided exactly, in
-    integers, for Q = P minus the highest kept value: Descartes' rule on Q moved to
-    mu_{M-1} settles it where the shifted coefficients have no sign change (no root
-    above mu_{M-1}), and Collins-Akritas bisection on Q's square-free part otherwise.
-    If not, A is solved once more for min(count + 2 + s, k) modes, s the least
-    integer above Q's largest real root, where s lies below the grid's reach
-    ceil(min(L, 1/dx)^2 / 2) (the box resolves modes with turning point
-    sqrt(2 mu) < L and sqrt(2 mu) dx <= 1).  Where s does not, or if the last of those
-    modes still lies below where P stays above the kept values, the run fails as
-    unresolved, with the rows of its last solve and a warning that says why.
-
-    Each kept mode is an eigenvector of A, whose eigenvalues are all simple, so its
-    node count n names its level and its mapped value is compared with the exact
-    P(n + 1/2).  A resolved report passes if P is bounded below, the node counts are a
-    permutation of 0..count-1 and every check passes; disagreement produces a failure
-    report, not an exception.  Each check is relative, so scaling P by a power of two,
-    which scales each mapped value exactly, changes no verdict: an eigenvalue passes
-    within `tolerance` of its exact energy, relatively; where that energy is 0.0 in
-    float64, its absolute error must stay within `tolerance` times the smallest nonzero
-    |energy| among the checked levels (0 if none is).  The node order needs no rule of
-    its own: the mapped values ascend, so the exact energies taken in node order fall
-    by no more than the checks allow, and an exact tie may come in either order.
+    The grid side, _measure_grid, reads only P's coefficients, and what it returns is
+    judged here.  Each kept mode is an eigenvector of A, whose eigenvalues are all
+    simple, so its node count n names its level and its mapped value is compared with
+    the exact P(n + 1/2).  A report passes if the grid side warns of nothing, the node
+    counts are a permutation of 0..count-1 and every check passes; disagreement produces
+    a failure report, not an exception.  Each check is relative, so scaling P by a power
+    of two, which scales each mapped value exactly, changes no verdict: an eigenvalue
+    passes within `tolerance` of its exact energy, relatively; where that energy is 0.0
+    in float64, its absolute error must stay within `tolerance` times the smallest
+    nonzero |energy| among the checked levels (0 if none is).  The node order needs no
+    rule of its own: the mapped values ascend, so the exact energies taken in node order
+    fall by no more than the checks allow, and an exact tie may come in either order.
     `sequence_matches` (the node counts are the exact ascending permutation) and
     `degenerate` (two adjacent sorted exact energies a <= b lie within
     b - a <= DEGENERACY_FACTOR * tolerance * max(|a|, |b|)) are for information only.
     The degeneracy test is exact and runs in integers: the float product
     DEGENERACY_FACTOR * tolerance is read exactly as near / far, and with the energies
     A / D and B / D over one common denominator D it asks (B - A) far <= near max(|A|, |B|).
-
-    A negative leading coefficient makes P unbounded below on the levels, so the
-    checked levels are not the lowest ones and a grid cannot confirm them: such a
-    report fails and its warning says why; its grid side maps the first M modes
-    only, and its levels may all agree.
 
     Args:
         ham: Polynomial to verify.
@@ -513,50 +552,18 @@ def verify_dialled(
     count = min(levels_to_check, spec.points)
 
     # The grid side first, from P's coefficients alone; the exact side then judges it.
-    operator = build_oscillator_grid(spec)
-    dense = ham.dense_coefficients()
-    rising = bool(dense) and dense[-1] > 0
-
-    def solve(modes):  # A's lowest modes, through P, and the count lowest of them
-        solution = diagonalize(operator, modes)
-        mapped = matrix_polynomial(solution.eigenvalues, ham)
-        return solution, mapped, np.argsort(mapped, kind="stable")[:count]
-
-    def lifted(floor):  # integer coefficients of a positive multiple of P - floor
-        return _common_denominator([-Fraction(floor), *dense])[0]
-
-    # The modes asked for set where each Lanczos run stops, and so the eigenvalues' last
-    # bits, so the first ask stays count + 2: any other would change the printed values.
-    solution, mapped, kept = solve(min(count + 2, spec.points))
-    warning = None
-    if rising and len(mapped) < spec.points:
-        q = lifted(mapped[kept[-1]])
-        if not _positive_from(q, solution.eigenvalues[-1]):
-            reach = math.ceil(min(spec.half_width, 1.0 / spec.spacing) ** 2 / 2)
-            rise = min(reach, _root_ceiling(q))  # q has a root at or above A's mode > 0
-            covered = False
-            if rise < reach:  # mode count + 1 + rise lies above rise where A resolves it
-                solution, mapped, kept = solve(min(count + 2 + rise, spec.points))
-                covered = len(mapped) == spec.points or _positive_from(
-                    lifted(mapped[kept[-1]]), solution.eigenvalues[-1])
-            if not covered:
-                warning = (f"P does not stay above the kept values beyond the {len(mapped)} "
-                           f"modes solved, and this grid resolves only h < {reach}, so levels "
-                           f"0..{count - 1} may not be its lowest")
-    node_sequence = tuple([count_nodes(vector) for vector in solution.eigenvectors.T[kept]])
-
+    values, node_sequence, warning = _measure_grid(ham, spec, count)
     records = evaluate_spectrum(ham, max(count, max(node_sequence) + 1))
     permutation = ordering_report(records[:count]).ascending_permutation
-    sorted_exact = [records[level].energy for level in permutation]
     # Exact, so that nothing overflows or rounds: near / far is the float product.
     near, far = (DEGENERACY_FACTOR * tolerance).as_integer_ratio()
-    nums, _ = _common_denominator(sorted_exact)
+    nums = sorted(_common_denominator([rec.energy for rec in records[:count]])[0])
     degenerate = any((b - a) * far <= near * max(abs(a), abs(b)) for a, b in zip(nums, nums[1:]))
     exact = [records[level].energy for level in node_sequence]
     exact_floats = [float(e) for e in exact]
     zero_floor = tolerance * min((abs(e) for e in exact_floats if e != 0.0), default=0.0)
     checks = []
-    for grid_value, energy, exact_float in zip(mapped[kept].tolist(), exact, exact_floats):
+    for grid_value, energy, exact_float in zip(values, exact, exact_floats):
         abs_error = abs(grid_value - exact_float)
         if exact_float == 0.0:
             rel_error = None
@@ -566,15 +573,8 @@ def verify_dialled(
             within = rel_error <= tolerance
         checks.append(LevelCheck(grid_value, energy, abs_error, rel_error, within))
 
-    leading = ham.coefficient(ham.degree)
-    if leading < 0:
-        warning = (f"P is unbounded below (leading coefficient {leading} < 0), so levels "
-                   f"0..{count - 1} are not its lowest")
-    passed = (
-        warning is None
-        and all(c.within_tolerance for c in checks)
-        and sorted(node_sequence) == list(range(count))
-    )
+    passed = (warning is None and all(c.within_tolerance for c in checks)
+              and sorted(node_sequence) == list(range(count)))
     return VerificationReport(
         spec=spec,
         tolerance=tolerance,

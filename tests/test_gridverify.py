@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from polyosc import gridverify
+from polyosc import gridverify, spectrum
 from polyosc.exactalg import PolynomialHamiltonian, SpectrumTarget, dial
 from polyosc.gridverify import (
     EigensolverError,
@@ -1155,6 +1155,35 @@ def test_verify_measures_the_grid_before_it_reads_the_exact_side(monkeypatch, ha
     assert verify_dialled(ham) == expected
     assert len(counted) == 9
 
+
+
+@pytest.mark.parametrize(
+    ("ham", "points"),
+    [(QUADRATIC, 1001), (PolynomialHamiltonian.from_dense([-1]), 1001),
+     (PolynomialHamiltonian.from_dense([0]), 1001), (HUMP, 401), (FAR_QUINTIC, 801),
+     (PolynomialHamiltonian.from_dense([Fraction(-31741, 1092), Fraction(3649, 182),
+                                        Fraction(-1063, 273), Fraction(34, 273)]), 601)],
+    ids=["covered", "unbounded", "zero", "retried", "unresolved", "retry-cubic"],
+)
+def test_grid_side_reads_no_exact_energy(monkeypatch, ham, points):
+    # With every exact evaluator made to raise, the grid side still returns the grid
+    # values, node counts and warning of verify_dialled's report, on each of its
+    # branches: the first solve covers, P is unbounded below, P is zero, a retry
+    # covers, no retry lies within reach, and the retry of 11 then 37 modes
+    spec = GridSpec(half_width=10.0, points=points)
+    report = verify_dialled(ham, spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid side asked for an exact energy")
+
+    for name in ("evaluate_spectrum", "ordering_report", "evaluate_polynomial", "_horner",
+                 "_scaled_numerators"):
+        monkeypatch.setattr(spectrum, name, refuse)
+    for name in ("evaluate_spectrum", "ordering_report"):
+        monkeypatch.setattr(gridverify, name, refuse)
+    assert gridverify._measure_grid(ham, spec, 9) == (
+        [check.grid_eigenvalue for check in report.checks], report.node_sequence,
+        report.warning)
 
 def test_verify_passing_reports_order_the_exact_energies_within_the_checks():
     # Seeded dials of degree 1-4, each with a near tie of its first two targets that
